@@ -3,7 +3,9 @@ route, series tables, mode actions, and the verification suites.
 
 Exit codes: 0 success / suite passed; 1 a verification or cross-check
 failed; 2 unusable flags or configuration (the diagnostic names the
-offending flag); 3 the computation exceeds the degree budget.
+offending flag), or a request outside a library bound (ValueError);
+3 the computation exceeds the degree budget or the oracle's packed range
+(OverflowError).
 """
 
 import argparse
@@ -468,9 +470,12 @@ def main(argv=None):
         print("symvertex: error: argument %s: %s" % (e.flag, e),
               file=sys.stderr)
         return 2
-    except BudgetError as e:
+    except (BudgetError, OverflowError) as e:
         print("symvertex: error: %s" % e, file=sys.stderr)
         return 3
+    except ValueError as e:
+        print("symvertex: error: %s" % e, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

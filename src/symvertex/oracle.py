@@ -5,8 +5,14 @@ Everything here works on explicit monomials.  A polynomial is a dict mapping
 a packed exponent key to an int coefficient: 4 bits per variable, variable 0
 in the most significant nibble, so integer comparison of keys is
 lexicographic comparison of monomials.  That limits this module to at most
-15 variables and per-variable exponents below 16 -- plenty for the
-cross-check weights, and enforced loudly.
+15 variables and per-variable exponents below 16, enforced loudly.
+
+Each value is expanded in only as many variables as its Schur terms can have
+rows.  In n variables s_kappa vanishes exactly when l(kappa) > n, and the
+s_kappa with l(kappa) <= n stay linearly independent (Macdonald, Symmetric
+Functions and Hall Polynomials, I.3), so a symmetric function whose terms
+all have at most n rows is recovered exactly from its image in n variables.
+Each entry point states its width and why it suffices.
 
 Schur polynomials come from a one-letter-at-a-time horizontal-strip dynamic
 program (summing over semistandard tableaux), decomposition back into Schur
@@ -18,9 +24,8 @@ here; only the partitions module is shared.
 
 import math
 
-import numpy as np
-
-from .partitions import (conjugate, partition, subpartitions, weight)
+from .partitions import (conjugate, format_partition, partition,
+                          subpartitions, weight)
 from .schurring import SymFunc
 
 _MAXVARS = 15
@@ -78,7 +83,10 @@ def _poly_mul_big(A, B):
     """Blocked numpy path for large products: outer-add the packed keys,
     reduce each block with unique+bincount, then reduce the concatenation.
     Exactness: block sums stay far below 2**52, so float64 accumulation is
-    exact; asserted anyway."""
+    exact; asserted anyway.  numpy is imported here, on first use, so that
+    importing the package does not load it."""
+    import numpy as np
+
     ak = np.fromiter(A.keys(), np.int64, len(A))
     av = np.fromiter(A.values(), np.int64, len(A))
     bk = np.fromiter(B.keys(), np.int64, len(B))
@@ -210,27 +218,50 @@ def decompose(poly, nvars):
 
 # #### cross-check entry points ####
 
+def _check_packed(what, nibbles, exponent):
+    """Refuse a computation whose keys would need more than 15 nibbles or
+    a per-variable exponent above 15."""
+    if nibbles > _MAXVARS:
+        raise OverflowError("%s needs %d packed variables, over the %d "
+                            "the oracle can hold" % (what, nibbles, _MAXVARS))
+    if exponent > 15:
+        raise OverflowError("%s reaches exponent %d in one variable, over "
+                            "the 15 a nibble can hold" % (what, exponent))
+
+
 def oracle_product(mu, nu):
     """Product of two Schur functions, by multiplying explicit Schur
-    polynomials in |mu|+|nu| variables and decomposing."""
+    polynomials in l(mu)+l(nu) variables and decomposing.
+
+    Every constituent s_kappa of s_mu s_nu has l(kappa) <= l(mu)+l(nu)
+    (Littlewood-Richardson), so that width loses nothing; no variable's
+    exponent exceeds mu_1+nu_1."""
     mu, nu = partition(mu), partition(nu)
-    n = weight(mu) + weight(nu)
+    n = len(mu) + len(nu)
     if n == 0:
         return SymFunc.one()
-    if n > _MAXVARS:
-        raise OverflowError("combined weight %d exceeds the packed range" % n)
+    _check_packed("product of %s and %s"
+                  % (format_partition(mu), format_partition(nu)),
+                  n, max(mu, default=0) + max(nu, default=0))
     return decompose(poly_mul(schur_poly(mu, n), schur_poly(nu, n)), n)
 
 
 def oracle_plethysm(mu, nu):
     """Plethysm mu[nu] by running the tableau dynamic program whose letters
     are the explicit monomials of the inner Schur polynomial (with
-    multiplicity), then decomposing."""
+    multiplicity), then decomposing.
+
+    Works in |mu|*l(nu) variables: s_mu[s_nu] is a summand of
+    h_mu[s_nu] = prod_i h_{mu_i}[s_nu], and h_m[s_nu] is a summand of
+    s_nu^m, whose constituents have at most m*l(nu) rows.  For nu = (1)
+    each factor h_m[s_1] = h_m has one row, so l(mu) variables suffice.
+    No variable's exponent exceeds |mu|*nu_1."""
     mu, nu = partition(mu), partition(nu)
-    w = weight(mu) * weight(nu)
-    if w > _MAXVARS:
-        raise OverflowError("plethysm weight %d exceeds the packed range" % w)
-    n = max(w, 1)
+    n = len(mu) if nu == (1,) else weight(mu) * len(nu)
+    _check_packed("plethysm outer=%s inner=%s"
+                  % (format_partition(mu), format_partition(nu)),
+                  n, weight(mu) * max(nu, default=0))
+    n = max(n, 1)
     letters = sorted(schur_poly(nu, n).items(), reverse=True)
     subs = subpartitions(mu)
     states = {kappa: {} for kappa in subs}
@@ -245,9 +276,9 @@ def oracle_plethysm(mu, nu):
 
 # ---- literal generating kernels for the deformed Schur functions ----
 #
-# Two alphabets share one packed key: X in the high n nibbles, Z in the low
-# n nibbles.  Keys add like monomials as long as no nibble overflows, which
-# the weight caps guarantee.
+# Two alphabets share one packed key: X in the high n_x nibbles, Z in the
+# low n_z nibbles.  Keys add like monomials as long as no nibble overflows,
+# which the guard in _kernel_coefficient ensures.
 
 _hprod_memo = {}
 
@@ -283,19 +314,19 @@ def _compositions(total_max, n):
 _row_kernel_memo = {}
 
 
-def _row_kernel_layers(n, cap):
+def _row_kernel_layers(n_x, n_z, cap):
     """The two-alphabet row kernel 1/prod(1 - x_k z_l), truncated to
     Z-degree <= cap and grouped by Z-degree: the Z^d coefficient is the
     h-product over the entries of d."""
-    key = (n, cap)
+    key = (n_x, n_z, cap)
     found = _row_kernel_memo.get(key)
     if found is not None:
         return found
-    shift = 4 * n
+    shift = 4 * n_z
     layers = {d: {} for d in range(cap + 1)}
-    for d in _compositions(cap, n):
-        zkey = _pack(d, n)
-        xpoly = _hprod(partition(sorted(d, reverse=True)), n)
+    for d in _compositions(cap, n_z):
+        zkey = _pack(d, n_z)
+        xpoly = _hprod(partition(sorted(d, reverse=True)), n_x)
         layer = layers[sum(d)]
         for xk, c in xpoly.items():
             layer[(xk << shift) | zkey] = c
@@ -306,22 +337,23 @@ def _row_kernel_layers(n, cap):
 _col_kernel_memo = {}
 
 
-def _col_kernel_layers(n, cap):
+def _col_kernel_layers(n_x, n_z, cap):
     """The two-alphabet column kernel prod(1 - x_k z_l), truncated to
     Z-degree <= cap (X-degree matches Z-degree term by term) and grouped by
     Z-degree."""
-    key = (n, cap)
+    key = (n_x, n_z, cap)
     found = _col_kernel_memo.get(key)
     if found is not None:
         return found
-    shift = 4 * n
+    shift = 4 * n_z
     acc = {0: 1}
-    for k in range(n):
-        for l in range(n):
-            mono = (1 << (shift + 4 * (n - 1 - k))) | (1 << (4 * (n - 1 - l)))
+    for k in range(n_x):
+        for l in range(n_z):
+            mono = ((1 << (shift + 4 * (n_x - 1 - k)))
+                    | (1 << (4 * (n_z - 1 - l))))
             new = dict(acc)
             for kk, vv in acc.items():
-                if _degree(kk, n) < cap:  # low block = Z-degree
+                if _degree(kk, n_z) < cap:  # low block = Z-degree
                     nk = kk + mono
                     nv = new.get(nk, 0) - vv
                     if nv:
@@ -331,7 +363,7 @@ def _col_kernel_layers(n, cap):
             acc = new
     layers = {d: {} for d in range(cap + 1)}
     for kk, vv in acc.items():
-        layers[_degree(kk, n)][kk] = vv
+        layers[_degree(kk, n_z)][kk] = vv
     _col_kernel_memo[key] = layers
     return layers
 
@@ -373,9 +405,10 @@ def _series_factor_layers(base, n, cap, inverted):
     return layers
 
 
-def _extract_schur_z(kernel_layers, zfactor_layers, n, lam):
+def _extract_schur_z(kernel_layers, zfactor_layers, n_x, n_z, lam):
     """Coefficient of the Z-side Schur polynomial of lam in the product of
-    two layered two-alphabet polynomials, as an X-side packed polynomial."""
+    two layered two-alphabet polynomials, as an X-side packed polynomial in
+    n_x variables."""
     w = weight(lam)
     zmap = {}
     for za, A in kernel_layers.items():
@@ -391,7 +424,7 @@ def _extract_schur_z(kernel_layers, zfactor_layers, n, lam):
                 else:
                     zmap.pop(nk, None)
     # regroup by Z-monomial
-    shift = 4 * n
+    shift = 4 * n_z
     zmask = (1 << shift) - 1
     grouped = {}
     for kk, vv in zmap.items():
@@ -399,11 +432,11 @@ def _extract_schur_z(kernel_layers, zfactor_layers, n, lam):
     target = {}
     while grouped:
         ztop = max(grouped)
-        kappa = partition(_unpack(ztop, n))
+        kappa = partition(_unpack(ztop, n_z))
         xc = grouped.pop(ztop)
         if kappa == lam:
             target = xc
-        zschur = schur_poly(kappa, n)
+        zschur = schur_poly(kappa, n_z)
         for zk, mz in zschur.items():
             if zk == ztop:
                 continue
@@ -419,35 +452,48 @@ def _extract_schur_z(kernel_layers, zfactor_layers, n, lam):
     return target
 
 
+def _kernel_coefficient(kernel_layers, n_x, shape, inverted, lam):
+    """Coefficient of s_lam(Z) in (two-alphabet kernel in X and Z) * (the
+    series of `shape` in Z, inverted or not), decomposed in X.
+
+    Z takes l(lam) variables: there s_lam(Z) survives and stays independent
+    of the other Schur polynomials with at most l(lam) rows, while every
+    s_kappa(Z) with more rows is zero, so the coefficient is read exactly.
+    The caller picks n_x to cover every X-side Schur term the coefficient
+    can have.  All exponents stay within |lam|, the Z-degree cap."""
+    if not shape:
+        raise ValueError("shape must be a nonempty partition")
+    w, n_z = weight(lam), len(lam)
+    _check_packed("deformed Schur at lambda=%s" % format_partition(lam),
+                  n_x + n_z, w)
+    kernel = kernel_layers(n_x, n_z, w)
+    # a shape heavier than lam contributes only the constant term
+    base = schur_poly(shape, n_z) if weight(shape) <= w else {}
+    zfac = _series_factor_layers(base, n_z, w, inverted)
+    return decompose(_extract_schur_z(kernel, zfac, n_x, n_z, lam), n_x)
+
+
 def oracle_pi_schur(pi, lam):
     """Deformed Schur function read literally from its generating kernel:
     the coefficient of the Z-side Schur polynomial of lam in
-    (row kernel of XZ) * (column series of pi in Z)."""
+    (row kernel of XZ) * (column series of pi in Z).
+
+    X takes l(lam) variables: the row kernel is sum_kappa s_kappa(X)
+    s_kappa(Z), and only kappa contained in lam reach the coefficient of
+    s_lam(Z)."""
     pi, lam = partition(pi), partition(lam)
-    if not pi:
-        raise ValueError("shape must be a nonempty partition")
-    w = weight(lam)
-    n = max(w, 1)
-    if 2 * n > _MAXVARS and w > 0:
-        raise OverflowError("weight %d exceeds the two-alphabet range" % w)
-    kernel = _row_kernel_layers(n, w)
-    zfac = _series_factor_layers(schur_poly(pi, n), n, w, inverted=False)
-    return decompose(_extract_schur_z(kernel, zfac, n, lam), n)
+    return _kernel_coefficient(_row_kernel_layers, len(lam), pi, False, lam)
 
 
 def oracle_dual_pi_schur(pi, lam):
     """Companion family read literally from its generating kernel: the
     coefficient of the Z-side Schur polynomial of lam in (column kernel of
     XZ) * (series of the conjugate shape in Z) -- the row series when |pi|
-    is odd, the column series when it is even."""
+    is odd, the column series when it is even.
+
+    X takes lam_1 variables: the column kernel is sum_kappa (-1)^|kappa|
+    s_kappa(X) s_kappa'(Z), and only kappa' contained in lam reach the
+    coefficient of s_lam(Z), so l(kappa) <= lam_1."""
     pi, lam = partition(pi), partition(lam)
-    if not pi:
-        raise ValueError("shape must be a nonempty partition")
-    w = weight(lam)
-    n = max(w, 1)
-    if 2 * n > _MAXVARS and w > 0:
-        raise OverflowError("weight %d exceeds the two-alphabet range" % w)
-    kernel = _col_kernel_layers(n, w)
-    zfac = _series_factor_layers(schur_poly(conjugate(pi), n), n, w,
-                                 inverted=(weight(pi) % 2 == 1))
-    return decompose(_extract_schur_z(kernel, zfac, n, lam), n)
+    return _kernel_coefficient(_col_kernel_layers, max(lam, default=0),
+                               conjugate(pi), weight(pi) % 2 == 1, lam)

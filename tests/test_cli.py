@@ -283,6 +283,24 @@ class TestExitCodes:
                          "--nu", "[4,4]", "--degree-budget", "16")
         assert code == 0
 
+    @pytest.mark.parametrize("argv, expected", [
+        # the oracle's packed range: exponent 16 in one variable
+        (("pi-schur", "--pi", "[1]", "--route", "oracle",
+          "--lambda", "[8,8]", "--degree-budget", "20"), 3),
+        # the vertex route's bound on the string length
+        (("pi-schur", "--pi", "[2]", "--route", "vertex",
+          "--lambda", "[1,1,1,1,1]"), 2),
+        # the factor-chain plan ceiling
+        (("mode", "--pi", "[2]", "--kind", "X", "--m", "-500",
+          "--state", "s[1]", "--degree-budget", "1000"), 2),
+    ])
+    def test_library_bounds_are_exit_codes(self, capsys, argv, expected):
+        code, _, err = run(capsys, *argv)
+        assert code == expected
+        assert err.startswith("symvertex: error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "pi-schur", "--pi", "[1]",
                            "--lambda", "[1]", "--config", "/no/such/file")

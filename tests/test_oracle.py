@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -75,6 +79,10 @@ class TestOracleProduct:
         with pytest.raises(OverflowError):
             oracle_product((9, 9), (8, 8))
 
+    def test_two_rows_each(self):
+        # 4 variables; one per box would be 14 and take minutes
+        assert oracle_product((5, 4), (3, 2)) == S((5, 4)) * S((3, 2))
+
 
 class TestOraclePlethysm:
     def test_row_in_row(self):
@@ -86,6 +94,11 @@ class TestOraclePlethysm:
 
     def test_column_in_row(self):
         assert oracle_plethysm((1, 1), (2,)) == S((3, 1))
+
+    def test_exponent_guard(self):
+        # 4 variables suffice, but one variable reaches exponent 16
+        with pytest.raises(OverflowError, match="exponent 16"):
+            oracle_plethysm((4,), (4,))
 
     @given(st.sampled_from([(m, n)
                             for m in partitions_up_to(3)[1:]
@@ -118,3 +131,52 @@ class TestOraclePiSchur:
         pi, lam = pair
         assert oracle_pi_schur(pi, lam) == pi_schur(pi, lam)
         assert oracle_dual_pi_schur(pi, lam) == dual_pi_schur(pi, lam)
+
+    def test_three_rows_of_weight_eight(self):
+        # 3 + 3 packed variables; |lam| per alphabet would be 16
+        assert oracle_pi_schur((1,), (3, 3, 2)) == pi_schur((1,), (3, 3, 2))
+
+    def test_dual_weight_eight(self):
+        assert oracle_dual_pi_schur((2, 1), (4, 3, 1)) == \
+            dual_pi_schur((2, 1), (4, 3, 1))
+
+    def test_heavy_shape_is_constant_series(self):
+        # pi_1 = 16 does not fit a nibble, but |pi| > |lam| never needs it
+        assert oracle_pi_schur((16,), (2, 1)) == pi_schur((16,), (2, 1))
+
+
+class TestWidths:
+    """Each entry point asks schur_poly for no more variables than the
+    result can have rows."""
+
+    @pytest.mark.parametrize("call, widths", [
+        (lambda: oracle_product((3, 1), (2, 2)), {4}),
+        (lambda: oracle_product((2,), ()), {1}),
+        (lambda: oracle_plethysm((2,), (2, 1)), {4}),
+        (lambda: oracle_plethysm((3, 2, 1), (1,)), {3}),
+        (lambda: oracle_pi_schur((2,), (3, 1)), {2}),
+        (lambda: oracle_dual_pi_schur((2,), (3, 1)), {2, 3}),
+        (lambda: oracle_dual_pi_schur((1, 1), (1, 1, 1)), {1, 3}),
+    ])
+    def test_variables_requested(self, monkeypatch, call, widths):
+        seen = set()
+        real = oracle.schur_poly
+
+        def spy(lam, nvars):
+            seen.add(nvars)
+            return real(lam, nvars)
+
+        monkeypatch.setattr(oracle, "schur_poly", spy)
+        call()
+        assert seen == widths
+
+
+def test_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, symvertex; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
