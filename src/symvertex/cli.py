@@ -340,7 +340,9 @@ def build_parser():
                         help="config file (key = value lines); default from "
                              "$%s" % ENV_CONFIG)
     common.add_argument("--format", choices=("text", "json"))
-    common.add_argument("--jobs", type=int)
+    common.add_argument("--jobs", type=int,
+                        help="accepted for compatibility; suites run "
+                             "serially")
     common.add_argument("--degree-budget", type=int, dest="degree_budget")
 
     p = argparse.ArgumentParser(

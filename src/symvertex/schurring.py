@@ -3,16 +3,16 @@
 Coefficients are ints or fractions.Fraction; nothing here ever rounds.
 Partitions index both bases and are plain tuples from the partitions module.
 
-Products and skews run through the power-sum basis with memoized
-Murnaghan-Nakayama character tables: multiplication concatenates power-sum
-indices, skewing applies the adjoint of multiplication, and one character
-contraction converts back to the Schur basis.  Single-row and single-column
+Products and skews stay in the Schur basis: single-row and single-column
 shapes take Pieri shortcuts, which keeps the long factor chains built by
-vertexops cheap.  The oracle module deliberately shares none of this
-machinery.
+vertexops cheap, and every other pair counts Littlewood-Richardson
+tableaux.  Memoized Murnaghan-Nakayama characters serve only the change to
+and from the power-sum basis that plethysm needs.  The oracle module
+deliberately shares none of this machinery.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .partitions import conjugate, contains, partition, partitions_of
 
@@ -184,84 +184,95 @@ def _is_column(p):
     return all(x == 1 for x in p)
 
 
-# #### Schur-basis product and skew via the power-sum basis ####
+# #### Schur-basis product and skew via Littlewood-Richardson tableaux ####
+
+def _lr_tableaux(mu, nu=None, lam=None):
+    """Count Littlewood-Richardson tableaux on inner shape mu (Macdonald I.9).
+
+    Product mode (content nu, outer shape free) returns {outer: count};
+    skew mode (outer shape lam, content free) returns {content: count}.
+    Rows are filled top to bottom; a row is stored as the cumulative ends
+    of its labels 0 (the inner cells), 1, 2, ..., and row r holds labels
+    at most r + 1.  Column strictness: labels <= j in row r end no further
+    right than labels <= j - 1 in row r - 1.  Lattice word (read right to
+    left, top to bottom): the j's of the rows above plus this row's j's do
+    not exceed the (j - 1)'s of the rows above.
+    """
+    skew = lam is not None
+    rows = len(lam) if skew else len(mu) + len(nu)
+    inner = mu + (0,) * (rows - len(mu))
+    total = sum(lam) - sum(mu) if skew else sum(nu)
+    top = len(lam) if skew else len(nu)
+    content = [0] * (top + 1)
+    out = {}
+
+    def fill_row(r, above, shape, placed):
+        if not skew and placed == total:
+            key = partition(shape + list(inner[r:]))
+        elif r == rows:
+            if not skew:
+                return
+            key = partition(content[1:])
+        else:
+            fill_label(r, 1, [inner[r]], tuple(content), above, shape, placed)
+            return
+        out[key] = out.get(key, 0) + 1
+
+    def fill_label(r, j, ends, before, above, shape, placed):
+        e = ends[-1]
+        if j > min(r + 1, top):
+            if skew and e != lam[r]:
+                return
+            fill_row(r + 1, ends + [e] * (r + 2 - len(ends)), shape + [e],
+                     placed)
+            return
+        cap = above[j - 1] - e
+        if j > 1:
+            cap = min(cap, before[j - 1] - content[j])
+        cap = min(cap, lam[r] - e if skew else nu[j - 1] - content[j])
+        for k in range(cap + 1):
+            content[j] += k
+            fill_label(r, j + 1, ends + [e + k], before, above, shape,
+                       placed + k)
+            content[j] -= k
+
+    fill_row(0, [inner[0] + total], [], 0)
+    return out
+
 
 _product_memo = {}
 _skew_memo = {}
 
 
 def product_schur_pair(mu, nu):
-    """Expansion dict {lam: int} of the product of two Schur functions."""
-    if not mu:
-        return {nu: 1}
-    if not nu:
-        return {mu: 1}
-    if len(nu) == 1 or _is_column(nu) or len(mu) == 1 or _is_column(mu):
-        if not (len(nu) == 1 or _is_column(nu)):
-            mu, nu = nu, mu
-        key = (mu, nu)
-        found = _product_memo.get(key)
-        if found is not None:
-            return found
-        if len(nu) == 1:
-            res = {lam: 1 for lam in pieri_row(mu, nu[0])}
-        else:
-            res = {lam: 1 for lam in pieri_col(mu, len(nu))}
-        _product_memo[key] = res
-        return res
-    key = (mu, nu) if mu >= nu else (nu, mu)
+    """Read-only expansion {lam: int} of the product of two Schur
+    functions."""
+    if not mu or not nu:
+        return MappingProxyType({mu or nu: 1})
+    pieri = len(nu) == 1 or _is_column(nu)
+    if not pieri and (len(mu) == 1 or _is_column(mu)):
+        mu, nu, pieri = nu, mu, True
+    key = (mu, nu) if pieri or mu >= nu else (nu, mu)
     found = _product_memo.get(key)
     if found is not None:
         return found
-    a, b = sum(mu), sum(nu)
-    classes = {}
-    for rho in partitions_of(a):
-        cm = charvalue(mu, rho)
-        if cm == 0:
-            continue
-        wm = Fraction(cm, centralizer_order(rho))
-        for tau in partitions_of(b):
-            cn = charvalue(nu, tau)
-            if cn == 0:
-                continue
-            kappa = tuple(sorted(rho + tau, reverse=True))
-            classes[kappa] = classes.get(kappa, 0) + wm * Fraction(cn, centralizer_order(tau))
-    res = {}
-    for lam in partitions_of(a + b):
-        c = sum(w * charvalue(lam, kappa) for kappa, w in classes.items())
-        if c:
-            if c.denominator != 1:
-                raise ArithmeticError("non-integer Littlewood-Richardson value")
-            res[lam] = int(c)
-    _product_memo[key] = res
+    if not pieri:
+        res = _lr_tableaux(*key)
+    elif len(nu) == 1:
+        res = {lam: 1 for lam in pieri_row(mu, nu[0])}
+    else:
+        res = {lam: 1 for lam in pieri_col(mu, len(nu))}
+    res = _product_memo[key] = MappingProxyType(res)
     return res
 
 
-def _power_perp_pair(rho, tau):
-    """Adjoint of power-sum multiplication on a power-sum monomial:
-    returns (coefficient, remaining class) or None when it vanishes."""
-    mr, mt = part_mults(rho), part_mults(tau)
-    coeff = 1
-    for k, m in mr.items():
-        have = mt.get(k, 0)
-        if have < m:
-            return None
-        coeff *= k ** m
-        for i in range(have - m + 1, have + 1):
-            coeff *= i
-    left = []
-    for k, m in mt.items():
-        left.extend([k] * (m - mr.get(k, 0)))
-    return coeff, tuple(sorted(left, reverse=True))
-
-
 def skew_schur_pair(mu, lam):
-    """Expansion dict {nu: int} of skewing a Schur function lam by mu
+    """Read-only expansion {nu: int} of skewing a Schur function lam by mu
     (the adjoint of multiplication by mu)."""
     if not mu:
-        return {lam: 1}
+        return MappingProxyType({lam: 1})
     if sum(mu) > sum(lam) or not contains(lam, mu):
-        return {}
+        return MappingProxyType({})
     key = (mu, lam)
     found = _skew_memo.get(key)
     if found is not None:
@@ -271,29 +282,8 @@ def skew_schur_pair(mu, lam):
     elif _is_column(mu):
         res = {nu: 1 for nu in pieri_col_down(lam, len(mu))}
     else:
-        classes = {}
-        for rho in partitions_of(sum(mu)):
-            cm = charvalue(mu, rho)
-            if cm == 0:
-                continue
-            wm = Fraction(cm, centralizer_order(rho))
-            for tau in partitions_of(sum(lam)):
-                cl = charvalue(lam, tau)
-                if cl == 0:
-                    continue
-                hit = _power_perp_pair(rho, tau)
-                if hit is None:
-                    continue
-                coeff, kappa = hit
-                classes[kappa] = classes.get(kappa, 0) + wm * Fraction(cl * coeff, centralizer_order(tau))
-        res = {}
-        for nu in partitions_of(sum(lam) - sum(mu)):
-            c = sum(w * charvalue(nu, kappa) for kappa, w in classes.items())
-            if c:
-                if c.denominator != 1:
-                    raise ArithmeticError("non-integer skew coefficient")
-                res[nu] = int(c)
-    _skew_memo[key] = res
+        res = _lr_tableaux(mu, lam=lam)
+    res = _skew_memo[key] = MappingProxyType(res)
     return res
 
 

@@ -1,14 +1,14 @@
 """Exhaustive machine checks of the operator identities within finite ranges.
 
 Each suite enumerates a deterministic case list, evaluates every case with
-exact arithmetic, and returns a VerificationReport.  Case-level parallelism
-(`jobs`) never changes the report: results are collected in enumeration
-order.  Every suite takes perturb=True, which wires in one deliberate
-mutation that must produce failures — a guard against vacuous passes.
+exact arithmetic in enumeration order, and returns a VerificationReport.
+Suites run serially: `jobs` is accepted for existing callers and configs
+but ignored, since threads only slowed this GIL-bound work.  Every suite
+takes perturb=True, which wires in one deliberate mutation that must
+produce failures — a guard against vacuous passes.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,14 +69,9 @@ class VerificationReport:
         return lines
 
 
-def _execute(suite, config_obj, keys, case_fn, jobs):
+def _execute(suite, config_obj, keys, case_fn):
     t0 = time.perf_counter()
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(case_fn, keys))
-    else:
-        results = [case_fn(k) for k in keys]
-    failures = [r for r in results if r is not None]
+    failures = [r for r in map(case_fn, keys) if r is not None]
     elapsed = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(suite, config_obj, len(keys), failures, elapsed)
 
@@ -140,7 +135,6 @@ def verify_reordering(config=None, cases=REORDERING_CASES, pis=None,
     """Coefficientwise equality of the four adjoint/multiplication
     reorderings on every Schur input up to test_degree."""
     config = (config or CliConfig()).validate()
-    jobs = config.jobs if jobs is None else jobs
     pis = _default_pis() if pis is None else [partition(p) for p in pis]
     lams = partitions_up_to(test_degree)
     win = {"z": tuple(window), "w": tuple(window)}
@@ -168,7 +162,7 @@ def verify_reordering(config=None, cases=REORDERING_CASES, pis=None,
     cfg = {"cases": list(cases), "pis": [format_partition(p) for p in pis],
            "window": list(window), "test_degree": test_degree,
            "perturb": perturb}
-    return _execute("reordering", cfg, keys, case_fn, jobs)
+    return _execute("reordering", cfg, keys, case_fn)
 
 
 # #### suite: zero modes ####
@@ -224,7 +218,6 @@ def verify_zero_modes(config=None, charge_range=None, perturb=False,
     """The four ordered forms of products of charge-shift words, checked
     symbolically and on every concrete charge in the range."""
     config = (config or CliConfig()).validate()
-    jobs = config.jobs if jobs is None else jobs
     lo, hi = charge_range or config.charge_range
     keys = []
     for name, _, _ in ZERO_MODE_IDENTITIES:
@@ -260,7 +253,7 @@ def verify_zero_modes(config=None, charge_range=None, perturb=False,
                 "rhs": {"exponents": rhs[0], "charge": rhs[1]}}
 
     cfg = {"charge_range": [lo, hi], "perturb": perturb}
-    return _execute("zero-modes", cfg, keys, case_fn, jobs)
+    return _execute("zero-modes", cfg, keys, case_fn)
 
 
 # #### suite: clifford ####
@@ -303,7 +296,6 @@ def verify_clifford(config=None, pis=DEFAULT_CLIFFORD_PIS, mode_range=None,
     """Anticommutators of the mode families: like kinds vanish, mixed kinds
     give the identity exactly when the mode indices cancel."""
     config = (config or CliConfig()).validate()
-    jobs = config.jobs if jobs is None else jobs
     pis = [partition(p) for p in pis]
     lo, hi = mode_range or config.mode_range
     lams = partitions_up_to(degree_bound)
@@ -335,7 +327,7 @@ def verify_clifford(config=None, pis=DEFAULT_CLIFFORD_PIS, mode_range=None,
     cfg = {"pis": [format_partition(p) for p in pis],
            "mode_range": [lo, hi], "degree_bound": degree_bound,
            "charges": list(charges), "perturb": perturb}
-    return _execute("clifford", cfg, keys, case_fn, jobs)
+    return _execute("clifford", cfg, keys, case_fn)
 
 
 # #### suite: multivertex ####
@@ -346,7 +338,6 @@ def verify_multivertex(config=None, pis=((2,), (2, 1)), ms=(2, 3),
     """Sequential strings of like vertex operators against their
     normal-ordered form, coefficientwise on a window."""
     config = (config or CliConfig()).validate()
-    jobs = config.jobs if jobs is None else jobs
     pis = [partition(p) for p in pis]
     if inputs is None:
         inputs = (("1", SymFunc.one()), ("s[1]", SymFunc.schur((1,))))
@@ -377,7 +368,7 @@ def verify_multivertex(config=None, pis=((2,), (2, 1)), ms=(2, 3),
     cfg = {"pis": [format_partition(p) for p in pis], "ms": list(ms),
            "duals": list(duals), "inputs": [label for label, _ in inputs],
            "window": list(window), "perturb": perturb}
-    return _execute("multivertex", cfg, keys, case_fn, jobs)
+    return _execute("multivertex", cfg, keys, case_fn)
 
 
 # #### suite: route agreement (CLI name: theorem2) ####
@@ -394,7 +385,6 @@ def verify_route_agreement(config=None, pis=None, max_weight=6, max_length=3,
     monomial oracle; plus the conjugate pairing between the two families and
     the branching round trip."""
     config = (config or CliConfig()).validate()
-    jobs = config.jobs if jobs is None else jobs
     pis = _default_pis() if pis is None else [partition(p) for p in pis]
     lams = partitions_up_to(max_weight, max_length=max_length)
     keys = [(pi, lam, check) for pi in pis for lam in lams
@@ -451,7 +441,7 @@ def verify_route_agreement(config=None, pis=None, max_weight=6, max_length=3,
            "max_weight": max_weight, "max_length": max_length,
            "include_oracle": include_oracle,
            "include_vertex": include_vertex, "perturb": perturb}
-    return _execute("theorem2", cfg, keys, case_fn, jobs)
+    return _execute("theorem2", cfg, keys, case_fn)
 
 
 # #### suite: inverse series ####
@@ -491,7 +481,6 @@ def verify_inverse_series(config=None, max_sigma_weight=3, max_zweight=12,
     paired on the diagonal of the mixed two-vertex product, with the formal
     weight of each pair capped at max_zweight."""
     config = (config or CliConfig()).validate()
-    jobs = config.jobs if jobs is None else jobs
     sigmas = [p for w in range(0, max_sigma_weight + 1)
               for p in partitions_of(w)]
     hook_pis = (_default_pis() if hook_pis is None
@@ -551,7 +540,7 @@ def verify_inverse_series(config=None, max_sigma_weight=3, max_zweight=12,
     cfg = {"max_sigma_weight": max_sigma_weight, "max_zweight": max_zweight,
            "hook_pis": [format_partition(p) for p in hook_pis],
            "perturb": perturb}
-    return _execute("inverse-series", cfg, keys, case_fn, jobs)
+    return _execute("inverse-series", cfg, keys, case_fn)
 
 
 SUITES = {

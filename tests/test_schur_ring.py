@@ -1,14 +1,18 @@
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from symvertex.oracle import oracle_product
-from symvertex.partitions import (conjugate, partition, partitions_of,
-                                  partitions_up_to, weight)
-from symvertex.schurring import (PowerExpr, SymFunc, from_power,
-                                 lr_coefficient, multi_lr, power_inner,
-                                 to_power)
+from symvertex.partitions import (conjugate, contains, partition,
+                                  partitions_of, partitions_up_to, weight)
+from symvertex.schurring import (PowerExpr, SymFunc, centralizer_order,
+                                 charvalue, from_power, lr_coefficient,
+                                 multi_lr, power_inner, product_schur_pair,
+                                 skew_schur_pair, to_power)
 
 S = SymFunc.schur
 
@@ -166,6 +170,90 @@ class TestLittlewoodRichardson:
             for lam, c in prod.terms():
                 assert lr_coefficient(conjugate(lam), conjugate(mu),
                                       conjugate(nu)) == c
+
+
+@lru_cache(maxsize=None)
+def character_contraction(mu, nu):
+    """{lam: c} with c = sum over classes rho of |mu| and tau of |nu| of
+    chi^mu(rho) chi^nu(tau) chi^lam(rho + tau) / (z_rho z_tau), kept in
+    integers by scaling with |mu|! |nu|!."""
+    a, b = weight(mu), weight(nu)
+    scaled = {}
+    for rho in partitions_of(a):
+        wr = charvalue(mu, rho) * (factorial(a) // centralizer_order(rho))
+        for tau in partitions_of(b):
+            w = wr * charvalue(nu, tau) * (factorial(b)
+                                           // centralizer_order(tau))
+            if w:
+                kappa = tuple(sorted(rho + tau, reverse=True))
+                scaled[kappa] = scaled.get(kappa, 0) + w
+    out = {}
+    for lam in partitions_of(a + b):
+        c, r = divmod(sum(w * charvalue(lam, kappa)
+                          for kappa, w in scaled.items()),
+                      factorial(a) * factorial(b))
+        assert r == 0, (mu, nu, lam)
+        if c:
+            out[lam] = c
+    return out
+
+
+class TestTableauKernel:
+    """Products and skews against an independent character contraction,
+    the monomial oracle and each other."""
+
+    def test_products_match_characters_to_weight_ten(self):
+        for a in range(11):
+            for b in range(11 - a):
+                for mu in partitions_of(a):
+                    for nu in partitions_of(b):
+                        assert dict(product_schur_pair(mu, nu)) == \
+                            character_contraction(mu, nu), (mu, nu)
+
+    def test_skews_match_characters_to_weight_ten(self):
+        for lam in partitions_up_to(10):
+            for mu in partitions_up_to(weight(lam)):
+                want = {}
+                for nu in partitions_of(weight(lam) - weight(mu)):
+                    c = character_contraction(mu, nu).get(lam, 0)
+                    if c:
+                        want[nu] = c
+                assert dict(skew_schur_pair(mu, lam)) == want, (mu, lam)
+
+    @pytest.mark.parametrize("mu,nu", [((4, 2, 1), (3, 2, 2)),
+                                       ((3, 2, 2, 1), (3, 3, 2))])
+    def test_heavy_products_match_monomial_oracle(self, mu, nu):
+        assert S(mu) * S(nu) == oracle_product(mu, nu)
+
+    @given(st.data())
+    def test_skew_is_adjoint_to_product_to_weight_twelve(self, data):
+        lam = data.draw(st.sampled_from(partitions_up_to(12)))
+        mu = data.draw(st.sampled_from(
+            [m for m in partitions_up_to(weight(lam)) if contains(lam, m)]))
+        skew = skew_schur_pair(mu, lam)
+        for nu in partitions_of(weight(lam) - weight(mu)):
+            assert product_schur_pair(mu, nu).get(lam, 0) == \
+                skew.get(nu, 0), (lam, mu, nu)
+
+    @pytest.mark.parametrize("call,args", [
+        (product_schur_pair, ((3, 2), (2, 1))),
+        (product_schur_pair, ((2, 1), (3,))),
+        (product_schur_pair, ((1, 1), (2, 1))),
+        (product_schur_pair, ((), (2, 1))),
+        (skew_schur_pair, ((2, 1), (4, 3, 1))),
+        (skew_schur_pair, ((2,), (3, 1))),
+        (skew_schur_pair, ((1, 1), (3, 1))),
+        (skew_schur_pair, ((), (2, 1))),
+        (skew_schur_pair, ((3,), (2, 1)))])
+    def test_results_are_read_only(self, call, args):
+        first = call(*args)
+        want = dict(first)
+        with pytest.raises(TypeError):
+            first[(9,)] = 1
+        for key in want:
+            with pytest.raises(TypeError):
+                del first[key]
+        assert dict(call(*args)) == want
 
 
 class TestSymFuncValue:
