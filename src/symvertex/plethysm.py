@@ -1,8 +1,10 @@
 """Plethysm and the two inverse generating series built from it.
 
 Everything runs through the power-sum basis: substitution by a power sum
-p_k is the ring map sending p_j to p_{jk}, and an arbitrary plethysm is the
-corresponding contraction of character data.  Constant inner shapes need no
+p_k is the ring map sending p_j to p_{jk}, an arbitrary plethysm expands
+both sides in power sums and substitutes, and the result returns to the
+Schur basis by adding border strips (schurring.from_power), with no
+character table on the way back.  Constant inner shapes need no
 special casing -- substituting into the empty power-sum monomial leaves it
 fixed, which reproduces the usual evaluation-at-a-scalar rules.
 
@@ -15,7 +17,8 @@ for an arbitrary (possibly inhomogeneous, possibly constant) shape g.  They
 are mutually inverse: M_g(z) L_g(z) = 1.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from .partitions import conjugate, partition, partitions_of, weight
 from .schurring import (SymFunc, PowerExpr, from_power, product_schur_pair,
@@ -28,9 +31,12 @@ class DegreeBudgetError(Exception):
     """Raised when a plethysm would exceed the configured degree budget."""
 
 
-def _power_substitute(k, expr):
-    """Apply the ring map p_j -> p_{j*k} to a power-sum expression."""
-    return PowerExpr({tuple(k * x for x in rho): a for rho, a in expr.c.items()})
+def power_substitute(k, expr):
+    """Apply the ring map p_j -> p_{j*k}, the plethysm p_k[expr], to a
+    power-sum expression (constants are fixed points)."""
+    out = PowerExpr()
+    out.c = {tuple(k * x for x in rho): a for rho, a in expr.c.items()}
+    return out
 
 
 def plethysm(outer, inner, budget=DEFAULT_DEGREE_BUDGET):
@@ -53,7 +59,7 @@ def plethysm(outer, inner, budget=DEFAULT_DEGREE_BUDGET):
         term = PowerExpr.one()
         for k in rho:
             if k not in sub:
-                sub[k] = _power_substitute(k, gp)
+                sub[k] = power_substitute(k, gp)
             term = term * sub[k]
         out = out + term.scale(b)
     return from_power(out)
@@ -70,7 +76,8 @@ def _shape_key(shape):
 
 def series_term(family, shape, r):
     """Degree-r term of the row series ('M') or column series ('L') of the
-    given shape: h_r[shape] resp. (-1)^r e_r[shape].  Memoized."""
+    given shape: h_r[shape] resp. (-1)^r e_r[shape].  Memoized; the
+    result's coefficient map is a read-only view of the memo entry."""
     if family not in ("M", "L"):
         raise ValueError("series family must be 'M' or 'L'")
     if r < 0:
@@ -85,6 +92,7 @@ def series_term(family, shape, r):
         val = plethysm((r,), shape, budget=None)
     else:
         val = plethysm((1,) * r, shape, budget=None).scale((-1) ** r)
+    val.c = MappingProxyType(val.c)
     _series_memo[key] = val
     return val
 

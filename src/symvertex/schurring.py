@@ -6,18 +6,57 @@ Partitions index both bases and are plain tuples from the partitions module.
 Products and skews stay in the Schur basis: single-row and single-column
 shapes take Pieri shortcuts, which keeps the long factor chains built by
 vertexops cheap, and every other pair counts Littlewood-Richardson
-tableaux.  Memoized Murnaghan-Nakayama characters serve only the change to
-and from the power-sum basis that plethysm needs.  The oracle module
-deliberately shares none of this machinery.
+tableaux.  Plethysm needs the power-sum basis: the way back to Schur
+functions adds Murnaghan-Nakayama border strips one power sum at a time,
+and memoized characters, built from the same strip step, serve only the
+way there (to_power).  The oracle module deliberately shares none of this
+machinery.
 """
 
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 
 from .partitions import conjugate, contains, partition, partitions_of
 
 
-# #### Murnaghan-Nakayama characters ####
+# #### Murnaghan-Nakayama border strips and characters ####
+
+def border_strips(lam, k):
+    """[(nu, sign)] over the partitions nu obtained from lam by adding a
+    border strip of size k (by removing one of size -k when k < 0).
+
+    On the beta-numbers (first-column hook lengths) of lam, padded with k
+    zero rows when adding, a strip moves one bead from row j by k onto a
+    free position, where it lands in row i; the sign is (-1) to the number
+    |i - j| of beads jumped, the strip's height.  The strip fills rows
+    i..j (j..i when removing), so nu is read off lam without sorting.
+    """
+    n = len(lam) + max(k, 0)
+    pad = lam + (0,) * (n - len(lam))
+    beta = [x + n - 1 - t for t, x in enumerate(pad)]
+    occupied = set(beta)
+    out = []
+    for j, b in enumerate(beta):
+        p = b + k
+        if p < 0 or p in occupied:
+            continue
+        i = j
+        if k > 0:
+            while i and beta[i - 1] < p:
+                i -= 1
+            nu = (lam[:i] + (p - n + 1 + i,)
+                  + tuple(x + 1 for x in pad[i:j]) + lam[j + 1:])
+        else:
+            while i + 1 < n and beta[i + 1] > p:
+                i += 1
+            nu = (lam[:j] + tuple(x - 1 for x in lam[j + 1:i + 1])
+                  + (p - n + 1 + i,) + lam[i + 1:])
+        while nu and not nu[-1]:
+            nu = nu[:-1]
+        out.append((nu, -1 if (i - j) % 2 else 1))
+    return out
+
 
 _char_memo = {}
 
@@ -25,8 +64,7 @@ _char_memo = {}
 def charvalue(lam, rho):
     """Character of the symmetric group: Schur label lam, class label rho.
 
-    Computed by removing a border strip of size rho[0] in all possible ways,
-    tracked on the beta-number (first-column hook length) encoding.
+    Computed by removing a border strip of size rho[0] in all possible ways.
     """
     if sum(lam) != sum(rho):
         raise ValueError("character needs |lam| == |rho|")
@@ -36,22 +74,9 @@ def charvalue(lam, rho):
     val = _char_memo.get(key)
     if val is not None:
         return val
-    r = rho[0]
     rest = rho[1:]
-    n = len(lam)
-    beta = [lam[i] + (n - 1 - i) for i in range(n)]
-    bset = set(beta)
-    total = 0
-    for j in range(n):
-        b = beta[j] - r
-        if b < 0 or b in bset:
-            continue
-        jumped = sum(1 for x in beta if b < x < beta[j])
-        newbeta = sorted((x for x in beta if x != beta[j]), reverse=True)
-        newbeta.append(b)
-        newbeta.sort(reverse=True)
-        newlam = partition(newbeta[i] - (n - 1 - i) for i in range(n))
-        total += (-1) ** jumped * charvalue(newlam, rest)
+    total = sum(sign * charvalue(nu, rest)
+                for nu, sign in border_strips(lam, -rho[0]))
     _char_memo[key] = total
     return total
 
@@ -315,7 +340,7 @@ def multi_lr(target, sizes, columns=False):
     return state.get(target, 0)
 
 
-# #### the SymFunc type ####
+# #### linear combinations: the SymFunc and PowerExpr types ####
 
 def _norm_coeff(c):
     if isinstance(c, Fraction) and c.denominator == 1:
@@ -323,13 +348,11 @@ def _norm_coeff(c):
     return c
 
 
-class SymFunc:
-    """A finite linear combination of Schur functions with exact coefficients.
-
-    Internally a dict {partition tuple: int | Fraction} with no explicit
-    zeros.  Supports ring arithmetic, the degree-lowering skew action, the
-    omega involution and the Hall inner product.
-    """
+class _LinComb:
+    """A finite linear combination of partition-indexed basis elements with
+    exact coefficients: a dict {partition tuple: int | Fraction} with no
+    explicit zeros.  Holds the vector-space structure that the Schur-basis
+    SymFunc and the power-sum PowerExpr share."""
 
     __slots__ = ("c",)
 
@@ -340,6 +363,64 @@ class SymFunc:
                 if c:
                     d[partition(lam)] = _norm_coeff(c)
         self.c = d
+
+    def _new(self, d):
+        out = type(self)()
+        out.c = d
+        return out
+
+    def terms(self):
+        """Items sorted by partition in reverse-lexicographic order."""
+        return sorted(self.c.items(), key=lambda kv: kv[0], reverse=True)
+
+    def degree(self):
+        """Largest weight in the support (0 for the zero element)."""
+        return max((sum(lam) for lam in self.c), default=0)
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.c == other.c
+        return NotImplemented
+
+    def __add__(self, other):
+        d = dict(self.c)
+        for lam, c in other.c.items():
+            v = d.get(lam, 0) + c
+            if v:
+                d[lam] = _norm_coeff(v)
+            else:
+                d.pop(lam, None)
+        return self._new(d)
+
+    def __neg__(self):
+        return self._new({lam: -c for lam, c in self.c.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, a):
+        if not a:
+            return type(self)()
+        return self._new({lam: _norm_coeff(c * a)
+                          for lam, c in self.c.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+
+class SymFunc(_LinComb):
+    """A finite linear combination of Schur functions with exact coefficients.
+
+    Supports ring arithmetic, the degree-lowering skew action, the omega
+    involution and the Hall inner product.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls):
@@ -353,19 +434,11 @@ class SymFunc:
     def schur(cls, lam):
         return cls({partition(lam): 1})
 
-    def terms(self):
-        """Items sorted by partition in reverse-lexicographic order."""
-        return sorted(self.c.items(), key=lambda kv: kv[0], reverse=True)
-
     def coeff(self, lam):
         return self.c.get(partition(lam), 0)
 
     def support(self):
         return sorted(self.c, reverse=True)
-
-    def degree(self):
-        """Largest weight in the support (0 for the zero element)."""
-        return max((sum(lam) for lam in self.c), default=0)
 
     def is_homogeneous(self):
         return len({sum(lam) for lam in self.c}) <= 1
@@ -379,41 +452,6 @@ class SymFunc:
 
     def homogeneous_part(self, d):
         return SymFunc({lam: c for lam, c in self.c.items() if sum(lam) == d})
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        if isinstance(other, SymFunc):
-            return self.c == other.c
-        return NotImplemented
-
-    def __add__(self, other):
-        d = dict(self.c)
-        for lam, c in other.c.items():
-            v = d.get(lam, 0) + c
-            if v:
-                d[lam] = _norm_coeff(v)
-            else:
-                d.pop(lam, None)
-        out = SymFunc.zero()
-        out.c = d
-        return out
-
-    def __neg__(self):
-        out = SymFunc.zero()
-        out.c = {lam: -c for lam, c in self.c.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, a):
-        if not a:
-            return SymFunc.zero()
-        out = SymFunc.zero()
-        out.c = {lam: _norm_coeff(c * a) for lam, c in self.c.items()}
-        return out
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -431,11 +469,6 @@ class SymFunc:
                     else:
                         d.pop(lam, None)
         return SymFunc(d)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def skew_by(self, other):
         """Apply the adjoint of multiplication by `other` (partition or
@@ -497,64 +530,15 @@ def format_symfunc(f):
 
 # #### the power-sum basis ####
 
-class PowerExpr:
-    """A finite linear combination of power-sum monomials, dict-backed like
-    SymFunc.  Multiplication just merges indexing partitions."""
+class PowerExpr(_LinComb):
+    """A finite linear combination of power-sum monomials.  Multiplication
+    just merges indexing partitions."""
 
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=None):
-        d = {}
-        if coeffs:
-            for rho, c in coeffs.items():
-                if c:
-                    d[partition(rho)] = _norm_coeff(c)
-        self.c = d
+    __slots__ = ()
 
     @classmethod
     def one(cls):
         return cls({(): 1})
-
-    def terms(self):
-        return sorted(self.c.items(), key=lambda kv: kv[0], reverse=True)
-
-    def degree(self):
-        return max((sum(rho) for rho in self.c), default=0)
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        if isinstance(other, PowerExpr):
-            return self.c == other.c
-        return NotImplemented
-
-    def __add__(self, other):
-        d = dict(self.c)
-        for rho, c in other.c.items():
-            v = d.get(rho, 0) + c
-            if v:
-                d[rho] = _norm_coeff(v)
-            else:
-                d.pop(rho, None)
-        out = PowerExpr()
-        out.c = d
-        return out
-
-    def __neg__(self):
-        out = PowerExpr()
-        out.c = {rho: -c for rho, c in self.c.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, a):
-        if not a:
-            return PowerExpr()
-        out = PowerExpr()
-        out.c = {rho: _norm_coeff(c * a) for rho, c in self.c.items()}
-        return out
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -571,11 +555,6 @@ class PowerExpr:
                 else:
                     d.pop(kappa, None)
         return PowerExpr(d)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def __repr__(self):
         if not self.c:
@@ -613,14 +592,32 @@ def to_power(f):
 
 
 def from_power(expr):
-    """Power-sum basis -> Schur basis."""
-    by_weight = {}
-    for rho, a in expr.c.items():
-        by_weight.setdefault(sum(rho), {})[rho] = a
-    d = {}
-    for n, layer in by_weight.items():
-        for lam in partitions_of(n):
-            c = sum(a * charvalue(lam, rho) for rho, a in layer.items())
-            if c:
-                d[lam] = c
-    return SymFunc(d)
+    """Power-sum basis -> Schur basis, in Horner form over the largest part:
+    p_rho = p_k p_(rho minus k), and multiplying by p_k adds the border
+    strips of size k.  Runs in integers: the expression is scaled once by
+    the LCM of its denominators and divided once at the end."""
+    den = lcm(*(a.denominator for a in expr.c.values()))
+    d = _from_power_int({rho: int(a * den) for rho, a in expr.c.items()},
+                        {})
+    return SymFunc(d if den == 1 else
+                   {lam: Fraction(c, den) for lam, c in d.items()})
+
+
+def _from_power_int(terms, strips):
+    """{lam: int} Schur expansion of sum a_rho p_rho, {rho: int a_rho};
+    strips caches border_strips across the recursion."""
+    groups = {}
+    out = {}
+    for rho, a in terms.items():
+        if rho:
+            groups.setdefault(rho[0], {})[rho[1:]] = a
+        else:
+            out[()] = a
+    for k, rest in groups.items():
+        for lam, c in _from_power_int(rest, strips).items():
+            added = strips.get((lam, k))
+            if added is None:
+                added = strips[lam, k] = border_strips(lam, k)
+            for nu, sign in added:
+                out[nu] = out.get(nu, 0) + sign * c
+    return {lam: c for lam, c in out.items() if c}

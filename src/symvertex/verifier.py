@@ -18,7 +18,7 @@ from .oracle import oracle_dual_pi_schur, oracle_pi_schur
 from .partitions import (conjugate, format_partition, hooks_inside, partition,
                          partitions_of, partitions_up_to, weight)
 from .plethysm import (cauchy_dual_pi_schur, cauchy_pi_schur, dual_pi_schur,
-                       pi_branch, pi_schur, pi_unbranch)
+                       pi_branch, pi_schur, pi_unbranch, power_substitute)
 from .schurring import PowerExpr, SymFunc, to_power
 from .vertexops import (ChargedState, FactorChain, LaurentMap, NormalProduct,
                         _kind_is_dual, _vertex_coefficient,
@@ -446,21 +446,12 @@ def verify_route_agreement(config=None, pis=None, max_weight=6, max_length=3,
 
 # #### suite: inverse series ####
 
-def _power_plethysm_pk(k, gp):
-    """Power-sum plethysm p_k applied to a power expression: every index
-    is scaled by k (constants are fixed points)."""
-    out = PowerExpr()
-    out.c = {tuple(sorted((k * x for x in rho), reverse=True)): c
-             for rho, c in gp.c.items()}
-    return out
-
-
 def _series_power_terms(shape, rmax):
     """(row_terms, col_terms): power-basis expansions of the degree-r terms
     of the row series and the signed column series of the shape, r <= rmax,
     via the Newton recurrences seeded with q_k = p_k plethysm of the shape."""
     gp = to_power(shape)
-    qs = [None] + [_power_plethysm_pk(k, gp) for k in range(1, rmax + 1)]
+    qs = [None] + [power_substitute(k, gp) for k in range(1, rmax + 1)]
     row = [PowerExpr.one()]
     col = [PowerExpr.one()]
     for r in range(1, rmax + 1):

@@ -22,6 +22,7 @@ what fixes those index conventions.
 """
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .partitions import partition, weight
 from .plethysm import series_term
@@ -512,7 +513,8 @@ _mode_memo = {}
 
 def _vertex_coefficient(pi, dual, j, lam):
     """Coefficient of z^j in (vertex operator of shape pi) applied to the
-    Schur function of lam.  Memoized; modes act linearly over these."""
+    Schur function of lam.  Memoized; modes act linearly over these.  The
+    result's coefficient map is a read-only view of the memo entry."""
     key = (pi, dual, j, lam)
     found = _mode_memo.get(key)
     if found is not None:
@@ -522,6 +524,7 @@ def _vertex_coefficient(pi, dual, j, lam):
     val = res.get((j,))
     if val is None:
         val = SymFunc.zero()
+    val.c = MappingProxyType(val.c)
     _mode_memo[key] = val
     return val
 

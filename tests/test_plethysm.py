@@ -92,6 +92,18 @@ class TestSeriesTerm:
             series_term("Q", SymFunc.one(), 1)
 
 
+    def test_result_is_read_only(self):
+        first = series_term("L", S((2, 1)), 2)
+        want = dict(first.c)
+        with pytest.raises(TypeError):
+            first.c[(9,)] = 1
+        for key in want:
+            with pytest.raises(TypeError):
+                del first.c[key]
+        assert first + S((1,)) - S((1,)) == first
+        assert dict(series_term("L", S((2, 1)), 2).c) == want
+
+
 class TestSeriesPerpApply:
     def test_column_series_on_matching_row(self):
         spec = SeriesSpec.plain("L", (2,))

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from symvertex.oracle import oracle_product
 from symvertex.partitions import (conjugate, contains, partition,
                                   partitions_of, partitions_up_to, weight)
-from symvertex.schurring import (PowerExpr, SymFunc, centralizer_order,
-                                 charvalue, from_power, lr_coefficient,
-                                 multi_lr, power_inner, product_schur_pair,
-                                 skew_schur_pair, to_power)
+from symvertex.schurring import (PowerExpr, SymFunc, border_strips,
+                                 centralizer_order, charvalue, from_power,
+                                 lr_coefficient, multi_lr, pieri_row,
+                                 pieri_row_down, power_inner,
+                                 product_schur_pair, skew_schur_pair,
+                                 to_power)
 
 S = SymFunc.schur
 
@@ -125,6 +127,54 @@ class TestPowerBasis:
 
     @given(symfunc_strategy())
     def test_roundtrip_rational_combinations(self, f):
+        assert from_power(to_power(f)) == f
+
+
+def character_row(rho):
+    """{lam: chi^lam(rho)} over the nonzero characters of class rho."""
+    row = {lam: charvalue(lam, rho) for lam in partitions_of(weight(rho))}
+    return {lam: c for lam, c in row.items() if c}
+
+
+class TestFromPower:
+    """The border-strip route from power sums to Schur functions."""
+
+    def test_small_cases_by_hand(self):
+        assert from_power(PowerExpr({(1, 1): 1})) == S((2,)) + S((1, 1))
+        assert from_power(PowerExpr({(2,): 1})) == S((2,)) - S((1, 1))
+        assert from_power(PowerExpr({(3,): 1})) == \
+            S((3,)) - S((2, 1)) + S((1, 1, 1))
+        assert from_power(PowerExpr({(2, 1): 1})) == S((3,)) - S((1, 1, 1))
+
+    def test_single_power_sums_match_characters_to_weight_ten(self):
+        for rho in partitions_up_to(10):
+            assert dict(from_power(PowerExpr({rho: 1})).c) == \
+                character_row(rho), rho
+
+    def test_mixed_weights_fractions_and_constant(self):
+        expr = PowerExpr({(): Fraction(3, 2), (1,): 2,
+                          (2, 1): Fraction(1, 3), (1, 1, 1): Fraction(-1, 6),
+                          (4,): Fraction(5, 4), (2, 2): Fraction(-7, 12)})
+        want = SymFunc.zero()
+        for rho, a in expr.c.items():
+            want = want + SymFunc(character_row(rho)).scale(a)
+        got = from_power(expr)
+        assert got == want
+        assert got.homogeneous_part(0) == SymFunc.one().scale(Fraction(3, 2))
+        assert from_power(PowerExpr({(): 7})) == SymFunc.one().scale(7)
+
+    def test_zero_expression(self):
+        assert from_power(PowerExpr()) == SymFunc.zero()
+
+    def test_single_box_strips_are_pieri(self):
+        for lam in partitions_up_to(8):
+            assert sorted(border_strips(lam, 1)) == \
+                sorted((nu, 1) for nu in pieri_row(lam, 1)), lam
+            assert sorted(border_strips(lam, -1)) == \
+                sorted((nu, 1) for nu in pieri_row_down(lam, 1)), lam
+
+    @given(symfunc_strategy(max_weight=8, max_terms=4))
+    def test_roundtrip_inhomogeneous_to_weight_eight(self, f):
         assert from_power(to_power(f)) == f
 
 

@@ -6,6 +6,7 @@ from symvertex.partitions import partitions_up_to, weight
 from symvertex.schurring import SymFunc
 from symvertex.vertexops import (ChargedState, FactorChain, LaurentMap,
                                  ZeroModeNormalForm, _embed_chain,
+                                 _vertex_coefficient,
                                  annihilation_zero_word, anticommutator,
                                  apply_chain, build_dual_vertex,
                                  build_vertex, creation_zero_word,
@@ -131,6 +132,18 @@ class TestModes:
         a = mode((), "X", 0, ChargedState.vacuum(0, ONE))
         b = mode((), "X", 0, ChargedState.vacuum(1, S((1,))))
         assert got == a + b
+
+    @pytest.mark.parametrize("dual,j", [(False, 2), (True, 3), (False, -3)])
+    def test_coefficients_are_read_only(self, dual, j):
+        first = _vertex_coefficient((2,), dual, j, (2, 1))
+        want = dict(first.c)
+        with pytest.raises(TypeError):
+            first.c[(9,)] = 1
+        for key in want:
+            with pytest.raises(TypeError):
+                del first.c[key]
+        assert first.scale(2) - first - first == SymFunc.zero()
+        assert dict(_vertex_coefficient((2,), dual, j, (2, 1)).c) == want
 
 
 class TestAnticommutator:
