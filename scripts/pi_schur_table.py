@@ -13,34 +13,11 @@ route named with --route and cross-checked for agreement.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
+from symvertex.cli import ROUTES
 from symvertex.jsonform import symfunc_to_obj
-from symvertex.oracle import oracle_dual_pi_schur, oracle_pi_schur
 from symvertex.partitions import format_partition, partitions_up_to
-from symvertex.plethysm import (cauchy_dual_pi_schur, cauchy_pi_schur,
-                                dual_pi_schur, pi_schur)
 from symvertex.schurring import format_symfunc
-from symvertex.vertexops import vertex_string
-
-ROUTES = {
-    "perp": (pi_schur, dual_pi_schur),
-    "cauchy": (cauchy_pi_schur, cauchy_dual_pi_schur),
-    "vertex": (lambda pi, lam: vertex_string(pi, lam),
-               lambda pi, lam: vertex_string(pi, lam, dual=True)),
-    "oracle": (oracle_pi_schur, oracle_dual_pi_schur),
-}
-
-
-@dataclass
-class TableConfig:
-    max_pi_weight: int = 2
-    max_lambda_weight: int = 4
-    max_lambda_length: int = 3
-    dual: bool = False
-    routes: list = field(default_factory=lambda: ["perp"])
-    format: str = "text"
-    out: str = ""
 
 
 def parse_args(argv=None):
@@ -49,15 +26,13 @@ def parse_args(argv=None):
     ap.add_argument("--max-lambda-weight", type=int, default=4)
     ap.add_argument("--max-lambda-length", type=int, default=3)
     ap.add_argument("--dual", action="store_true")
-    ap.add_argument("--route", action="append", choices=sorted(ROUTES))
+    ap.add_argument("--route", action="append", dest="routes",
+                    choices=sorted(ROUTES))
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument("--out", default="", help="also write the table here")
     a = ap.parse_args(argv)
-    return TableConfig(max_pi_weight=a.max_pi_weight,
-                       max_lambda_weight=a.max_lambda_weight,
-                       max_lambda_length=a.max_lambda_length,
-                       dual=a.dual, routes=a.route or ["perp"],
-                       format=a.format, out=a.out)
+    a.routes = a.routes or ["perp"]
+    return a
 
 
 def build_table(cfg):
@@ -96,7 +71,8 @@ def main(argv=None):
                         for r in rows]}
         text = json.dumps(obj, indent=2)
     else:
-        width = max(len(r["pi"]) + len(r["lambda"]) for r in rows) + 4
+        width = max((len(r["pi"]) + len(r["lambda"]) for r in rows),
+                    default=0) + 4
         lines = ["%s Schur table via %s (%d rows)"
                  % (family + "deformed", "+".join(cfg.routes), len(rows))]
         for r in rows:

@@ -1,8 +1,9 @@
 """Run the verification suites and summarize the reports.
 
 Two scales are wired in: `quick` keeps every suite under a second or two
-(useful while hacking), `full` runs the ranges the acceptance tests use.
-Exit status is 0 only if every selected suite passes.
+(useful while hacking), `full` passes no parameters, so each suite runs at
+its own defaults, which are the ranges the acceptance tests use.  Exit
+status is 0 only if every selected suite passes.
 
     python scripts/run_verification.py
     python scripts/run_verification.py --scale full --jobs 8 --out report.json
@@ -12,7 +13,6 @@ Exit status is 0 only if every selected suite passes.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from symvertex.verifier import SUITES
 
@@ -25,46 +25,26 @@ QUICK = {
     "inverse-series": dict(max_sigma_weight=2, max_zweight=8),
 }
 
-FULL = {
-    "reordering": dict(window=(0, 4), test_degree=5),
-    "zero-modes": dict(charge_range=(-3, 3)),
-    "clifford": dict(),
-    "multivertex": dict(window=(-3, 3)),
-    "theorem2": dict(max_weight=6, max_length=3, include_oracle=True),
-    "inverse-series": dict(max_sigma_weight=3, max_zweight=12),
-}
-
-
-@dataclass
-class RunConfig:
-    suites: list = field(default_factory=lambda: sorted(SUITES))
-    scale: str = "quick"
-    jobs: int = 1
-    perturb: bool = False
-    out: str = ""
-
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--suite", action="append", choices=sorted(SUITES),
                     help="repeatable; default is every suite")
     ap.add_argument("--scale", choices=("quick", "full"), default="quick")
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; suites run serially")
     ap.add_argument("--perturb", action="store_true",
                     help="run the deliberate mutations (suites must FAIL)")
     ap.add_argument("--out", default="", help="write the reports as JSON")
-    a = ap.parse_args(argv)
-    return RunConfig(suites=a.suite or sorted(SUITES), scale=a.scale,
-                     jobs=a.jobs, perturb=a.perturb, out=a.out)
+    return ap.parse_args(argv)
 
 
 def main(argv=None):
     cfg = parse_args(argv)
-    params = QUICK if cfg.scale == "quick" else FULL
     reports = []
-    for suite in cfg.suites:
-        rep = SUITES[suite](jobs=cfg.jobs, perturb=cfg.perturb,
-                            **params[suite])
+    for suite in cfg.suite or sorted(SUITES):
+        params = QUICK[suite] if cfg.scale == "quick" else {}
+        rep = SUITES[suite](perturb=cfg.perturb, **params)
         reports.append(rep)
         for line in rep.summary_lines():
             print(line)

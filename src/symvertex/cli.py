@@ -9,10 +9,11 @@ offending flag), or a request outside a library bound (ValueError);
 """
 
 import argparse
+import inspect
 import json
 import sys
 
-from .config import ENV_CONFIG, CliConfig, ConfigError, load_config
+from .config import ENV_CONFIG, ConfigError, _parse_range, load_config
 from .jsonform import dumps, parse_symfunc, state_from_obj, state_to_obj, \
     symfunc_to_obj
 from .oracle import (oracle_dual_pi_schur, oracle_pi_schur, oracle_plethysm,
@@ -22,10 +23,7 @@ from .plethysm import (SeriesSpec, cauchy_dual_pi_schur, cauchy_pi_schur,
                        dual_pi_schur, pi_branch, pi_schur, plethysm)
 from .schurring import SymFunc, format_symfunc
 from .vertexops import ChargedState, mode as apply_mode, vertex_string
-from .verifier import (DEFAULT_CLIFFORD_PIS, REORDERING_CASES, SUITES,
-                       verify_clifford, verify_inverse_series,
-                       verify_multivertex, verify_reordering,
-                       verify_route_agreement, verify_zero_modes)
+from .verifier import REORDERING_CASES, SUITES
 
 
 class CliError(Exception):
@@ -48,26 +46,37 @@ def _t_partition(text):
 
 
 def _t_range(text):
-    from .config import _parse_range
     try:
         return _parse_range(text)
     except ConfigError as e:
         raise argparse.ArgumentTypeError(str(e))
 
 
+def _t_int_at_least(lo):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if value < lo:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d"
+                                             % (lo, value))
+        return value
+    return parse
+
+
+_t_count = _t_int_at_least(0)
+
+
 def _t_int_list(text):
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+        values = tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError:
+        values = ()
+    if not values:
         raise argparse.ArgumentTypeError(
             "expected a comma-separated list of integers, got %r" % text)
-
-
-def _t_symfunc(text):
-    try:
-        return parse_symfunc(text)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e))
+    return values
 
 
 def _check_budget(config, value, what):
@@ -87,7 +96,7 @@ def _emit(config, text_fn, obj_fn):
 
 # #### computation subcommands ####
 
-_ROUTES = {
+ROUTES = {
     "perp": (pi_schur, dual_pi_schur),
     "cauchy": (cauchy_pi_schur, cauchy_dual_pi_schur),
     "vertex": (lambda pi, lam: vertex_string(pi, lam),
@@ -109,7 +118,7 @@ def _run_pi_schur(args, config, dual):
         raise CliError("--route", "the oracle route needs a nonempty --pi")
     values = []
     for name in routes:
-        fn = _ROUTES[name][1 if dual else 0]
+        fn = ROUTES[name][1 if dual else 0]
         values.append((name, fn(pi, lam)))
     agree = all(v == values[0][1] for _, v in values)
 
@@ -250,80 +259,68 @@ def _run_mode(args, config):
 
 # #### verify subcommand ####
 
-_SUITE_FLAGS = {
-    "reordering": ("cases", "pi", "window", "test_degree"),
-    "zero-modes": ("charge_range",),
-    "clifford": ("pi", "mode_range", "degree_bound", "charges"),
-    "multivertex": ("pi", "m", "dual", "window"),
-    "theorem2": ("pi", "max_weight", "max_length", "skip_oracle",
-                 "skip_vertex"),
-    "inverse-series": ("pi", "max_sigma_weight", "max_zweight"),
+_DUALS = {"false": (False,), "true": (True,), "both": (False, True)}
+
+# flag -> (argparse options, {suite: keyword the flag sets}).  A flag that
+# is not given is not passed, so the suite function's own default applies.
+VERIFY_FLAGS = {
+    "--cases": ({"type": lambda t: t.split(",")}, {"reordering": "cases"}),
+    "--pi": ({"type": _t_partition, "action": "append"},
+             {"reordering": "pis", "clifford": "pis", "multivertex": "pis",
+              "theorem2": "pis", "inverse-series": "hook_pis"}),
+    "--window": ({"type": _t_range},
+                 {"reordering": "window", "multivertex": "window"}),
+    "--test-degree": ({"type": _t_count}, {"reordering": "test_degree"}),
+    "--charge-range": ({"type": _t_range}, {"zero-modes": "charge_range"}),
+    "--mode-range": ({"type": _t_range}, {"clifford": "mode_range"}),
+    "--degree-bound": ({"type": _t_count}, {"clifford": "degree_bound"}),
+    "--charges": ({"type": _t_int_list}, {"clifford": "charges"}),
+    "--m": ({"type": _t_int_at_least(1), "action": "append"},
+            {"multivertex": "ms"}),
+    "--dual": ({"choices": tuple(_DUALS)}, {"multivertex": "duals"}),
+    "--max-weight": ({"type": _t_count}, {"theorem2": "max_weight"}),
+    "--max-length": ({"type": _t_count}, {"theorem2": "max_length"}),
+    "--skip-oracle": ({"action": "store_const", "const": False},
+                      {"theorem2": "include_oracle"}),
+    "--skip-vertex": ({"action": "store_const", "const": False},
+                      {"theorem2": "include_vertex"}),
+    "--max-sigma-weight": ({"type": _t_count},
+                           {"inverse-series": "max_sigma_weight"}),
+    "--max-zweight": ({"type": _t_count}, {"inverse-series": "max_zweight"}),
 }
 
-_FLAG_NAMES = {
-    "cases": "--cases", "pi": "--pi", "window": "--window",
-    "test_degree": "--test-degree", "charge_range": "--charge-range",
-    "mode_range": "--mode-range", "degree_bound": "--degree-bound",
-    "charges": "--charges", "m": "--m", "dual": "--dual",
-    "max_weight": "--max-weight", "max_length": "--max-length",
-    "skip_oracle": "--skip-oracle", "skip_vertex": "--skip-vertex",
-    "max_sigma_weight": "--max-sigma-weight", "max_zweight": "--max-zweight",
+# suite -> (keyword held to the degree budget, what the budget error names)
+_BUDGETED = {
+    "reordering": ("test_degree", "reordering to degree %d"),
+    "clifford": ("degree_bound", "clifford to degree %d"),
+    "theorem2": ("max_weight", "route agreement to weight %d"),
+    "inverse-series": ("max_zweight", "inverse series to weight %d"),
 }
 
 
 def _run_verify(args, config):
     suite = args.suite
-    allowed = _SUITE_FLAGS[suite]
-    for attr, flag in _FLAG_NAMES.items():
-        val = getattr(args, attr)
-        explicit = not (val is None or val is False)
-        if explicit and attr not in allowed:
+    kwargs = {}
+    for flag, (_, keywords) in VERIFY_FLAGS.items():
+        val = getattr(args, flag[2:].replace("-", "_"))
+        if val is None:
+            continue
+        if suite not in keywords:
             raise CliError(flag, "%s does not apply to suite %r"
                            % (flag, suite))
-
-    if suite == "reordering":
-        cases = tuple(args.cases) if args.cases else REORDERING_CASES
-        for c in cases:
-            if c not in REORDERING_CASES:
-                raise CliError("--cases", "unknown case %r (choose from %s)"
-                               % (c, ", ".join(REORDERING_CASES)))
-        deg = args.test_degree if args.test_degree is not None else 5
-        _check_budget(config, deg, "reordering to degree %d" % deg)
-        report = verify_reordering(config, cases=cases, pis=args.pi,
-                                   window=args.window or (0, 4),
-                                   test_degree=deg, perturb=args.perturb)
-    elif suite == "zero-modes":
-        report = verify_zero_modes(config, charge_range=args.charge_range,
-                                   perturb=args.perturb)
-    elif suite == "clifford":
-        deg = args.degree_bound if args.degree_bound is not None else 5
-        _check_budget(config, deg, "clifford to degree %d" % deg)
-        report = verify_clifford(
-            config, pis=args.pi or DEFAULT_CLIFFORD_PIS,
-            mode_range=args.mode_range, degree_bound=deg,
-            charges=args.charges or (-1, 0, 1), perturb=args.perturb)
-    elif suite == "multivertex":
-        duals = {"false": (False,), "true": (True,),
-                 "both": (False, True)}[args.dual or "both"]
-        report = verify_multivertex(
-            config, pis=args.pi or ((2,), (2, 1)), ms=args.m or (2, 3),
-            duals=duals, window=args.window, perturb=args.perturb)
-    elif suite == "theorem2":
-        mw = args.max_weight if args.max_weight is not None else 6
-        _check_budget(config, mw, "route agreement to weight %d" % mw)
-        report = verify_route_agreement(
-            config, pis=args.pi, max_weight=mw,
-            max_length=args.max_length if args.max_length is not None else 3,
-            include_oracle=not args.skip_oracle,
-            include_vertex=not args.skip_vertex, perturb=args.perturb)
-    else:
-        zw = args.max_zweight if args.max_zweight is not None else 12
-        _check_budget(config, zw, "inverse series to weight %d" % zw)
-        msw = (args.max_sigma_weight
-               if args.max_sigma_weight is not None else 3)
-        report = verify_inverse_series(config, max_sigma_weight=msw,
-                                       max_zweight=zw, hook_pis=args.pi,
-                                       perturb=args.perturb)
+        kwargs[keywords[suite]] = val
+    if "duals" in kwargs:
+        kwargs["duals"] = _DUALS[kwargs["duals"]]
+    for c in kwargs.get("cases", ()):
+        if c not in REORDERING_CASES:
+            raise CliError("--cases", "unknown case %r (choose from %s)"
+                           % (c, ", ".join(REORDERING_CASES)))
+    fn = SUITES[suite]
+    if suite in _BUDGETED:
+        key, what = _BUDGETED[suite]
+        value = kwargs.get(key, inspect.signature(fn).parameters[key].default)
+        _check_budget(config, value, what % value)
+    report = fn(config, perturb=args.perturb, **kwargs)
 
     if args.timing == "none":
         report.elapsed_ms = 0
@@ -340,10 +337,11 @@ def build_parser():
                         help="config file (key = value lines); default from "
                              "$%s" % ENV_CONFIG)
     common.add_argument("--format", choices=("text", "json"))
-    common.add_argument("--jobs", type=int,
+    common.add_argument("--jobs", type=_t_int_at_least(1),
                         help="accepted for compatibility; suites run "
                              "serially")
-    common.add_argument("--degree-budget", type=int, dest="degree_budget")
+    common.add_argument("--degree-budget", type=_t_count,
+                        dest="degree_budget")
 
     p = argparse.ArgumentParser(
         prog="symvertex",
@@ -358,7 +356,7 @@ def build_parser():
         q.add_argument("--lambda", dest="lam", type=_t_partition,
                        required=True)
         q.add_argument("--route", action="append",
-                       choices=sorted(_ROUTES))
+                       choices=sorted(ROUTES))
         q.add_argument("--check-oracle", action="store_true",
                        dest="check_oracle")
         q.set_defaults(run=lambda a, c, d=dual: _run_pi_schur(a, c, d))
@@ -410,22 +408,8 @@ def build_parser():
                    help="wire in the suite's deliberate mutation (must fail)")
     q.add_argument("--timing", choices=("wall", "none"), default="wall",
                    help="'none' zeroes elapsed_ms for reproducible output")
-    q.add_argument("--cases", type=lambda t: t.split(","))
-    q.add_argument("--pi", type=_t_partition, action="append")
-    q.add_argument("--window", type=_t_range)
-    q.add_argument("--test-degree", dest="test_degree", type=int)
-    q.add_argument("--charge-range", dest="charge_range", type=_t_range)
-    q.add_argument("--mode-range", dest="mode_range", type=_t_range)
-    q.add_argument("--degree-bound", dest="degree_bound", type=int)
-    q.add_argument("--charges", type=_t_int_list)
-    q.add_argument("--m", type=int, action="append")
-    q.add_argument("--dual", choices=("false", "true", "both"))
-    q.add_argument("--max-weight", dest="max_weight", type=int)
-    q.add_argument("--max-length", dest="max_length", type=int)
-    q.add_argument("--skip-oracle", dest="skip_oracle", action="store_true")
-    q.add_argument("--skip-vertex", dest="skip_vertex", action="store_true")
-    q.add_argument("--max-sigma-weight", dest="max_sigma_weight", type=int)
-    q.add_argument("--max-zweight", dest="max_zweight", type=int)
+    for flag, (options, _) in VERIFY_FLAGS.items():
+        q.add_argument(flag, **options)
     q.set_defaults(run=_run_verify)
 
     return p

@@ -21,9 +21,8 @@ from .plethysm import (cauchy_dual_pi_schur, cauchy_pi_schur, dual_pi_schur,
                        pi_branch, pi_schur, pi_unbranch, power_substitute)
 from .schurring import PowerExpr, SymFunc, to_power
 from .vertexops import (ChargedState, FactorChain, LaurentMap, NormalProduct,
-                        _kind_is_dual, _vertex_coefficient,
-                        annihilation_zero_word, apply_chain,
-                        creation_zero_word, make_factor, mode,
+                        annihilation_zero_word, anticommutator, apply_chain,
+                        creation_zero_word, make_factor,
                         normal_ordered_string, string_chain, vertex_string,
                         zero_mode_normal_form, ZeroModeNormalForm)
 
@@ -260,34 +259,10 @@ def verify_zero_modes(config=None, charge_range=None, perturb=False,
 
 DEFAULT_CLIFFORD_PIS = ((), (2,), (1, 1), (3,), (2, 1), (4,))
 
-_CLIFFORD_RELATIONS = ("create-create", "annihilate-annihilate", "mixed")
-
-
-def _mode_with_convention(pi, kind, m, state, post_shift):
-    """mode(), optionally with the deliberately wrong convention that reads
-    the extraction index off the shifted charge."""
-    if not post_shift:
-        return mode(pi, kind, m, state)
-    dual = _kind_is_dual(kind)
-    out = ChargedState()
-    for c, f in state.sectors.items():
-        tgt = (c - 1) if dual else (c + 1)
-        j = (tgt - 1 - m) if dual else (-m - tgt)
-        acc = SymFunc.zero()
-        for lam, co in f.c.items():
-            acc = acc + _vertex_coefficient(pi, dual, j, lam).scale(co)
-        if acc:
-            out = out + ChargedState({tgt: acc})
-    return out
-
-
-def _anticommutator_with_convention(pi, kind_a, m, kind_b, n, state,
-                                    post_shift):
-    def act(kind, idx, st):
-        return _mode_with_convention(pi, kind, idx, st, post_shift)
-
-    return act(kind_a, m, act(kind_b, n, state)) + \
-        act(kind_b, n, act(kind_a, m, state))
+# relation -> the kinds of its two modes
+_CLIFFORD_RELATIONS = {"create-create": ("X", "X"),
+                       "annihilate-annihilate": ("Xstar", "Xstar"),
+                       "mixed": ("X", "Xstar")}
 
 
 def verify_clifford(config=None, pis=DEFAULT_CLIFFORD_PIS, mode_range=None,
@@ -307,15 +282,15 @@ def verify_clifford(config=None, pis=DEFAULT_CLIFFORD_PIS, mode_range=None,
                     for lam in lams:
                         for c in charges:
                             keys.append((pi, rel, m, n, lam, c))
-    kinds = {"create-create": ("X", "X"),
-             "annihilate-annihilate": ("Xstar", "Xstar"),
-             "mixed": ("X", "Xstar")}
+    # the deliberate mutation reads the extraction index off the shifted
+    # charge, which is the mode one index up
+    s = 1 if perturb else 0
 
     def case_fn(key):
         pi, rel, m, n, lam, c = key
-        ka, kb = kinds[rel]
+        ka, kb = _CLIFFORD_RELATIONS[rel]
         st = ChargedState.vacuum(c, SymFunc.schur(lam))
-        got = _anticommutator_with_convention(pi, ka, m, kb, n, st, perturb)
+        got = anticommutator(pi, ka, m + s, kb, n + s, st)
         expected = st if (rel == "mixed" and m + n == 0) else ChargedState()
         if got == expected:
             return None

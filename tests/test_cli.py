@@ -1,15 +1,17 @@
 """Command-line surface: output shapes, exit codes, config plumbing."""
 
+import inspect
 import json
 
 import pytest
 
-from symvertex.cli import main
+from symvertex.cli import VERIFY_FLAGS, main
 from symvertex.config import ENV_CONFIG
 from symvertex.jsonform import dumps, parse_symfunc, state_to_obj, \
     symfunc_to_obj
 from symvertex.plethysm import pi_schur, plethysm
 from symvertex.schurring import SymFunc, format_symfunc
+from symvertex.verifier import SUITES
 from symvertex.vertexops import ChargedState, mode
 
 
@@ -230,6 +232,25 @@ class TestVerifyCommand:
         assert code == 2
         assert "--test-degree" in err
 
+    @pytest.mark.parametrize("suite, flag, value", [
+        ("multivertex", "--m", "0"),
+        ("multivertex", "--m", "-1"),
+        ("reordering", "--test-degree", "-1"),
+        ("clifford", "--degree-bound", "-1"),
+        ("theorem2", "--max-weight", "-1"),
+        ("theorem2", "--max-length", "-1"),
+        ("inverse-series", "--max-sigma-weight", "-1"),
+        ("inverse-series", "--max-zweight", "-1"),
+        ("clifford", "--charges", ","),
+    ])
+    def test_malformed_flag_runs_no_cases(self, capsys, suite, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("error: argument %s: " % flag) in captured.err
+
     def test_unknown_reordering_case(self, capsys):
         code, _, err = run(capsys, "verify", "reordering", "--cases", "XX")
         assert code == 2
@@ -251,6 +272,20 @@ class TestVerifyCommand:
         assert code1 == code8 == 0
         assert out1 == out8
         assert json.loads(out1)["elapsed_ms"] == 0
+
+
+class TestVerifyFlagTable:
+    def test_flags_and_suite_parameters_match(self):
+        reachable = {suite: set() for suite in SUITES}
+        for flag, (_, keywords) in VERIFY_FLAGS.items():
+            for suite, keyword in keywords.items():
+                params = inspect.signature(SUITES[suite]).parameters
+                assert keyword in params, (flag, suite, keyword)
+                reachable[suite].add(keyword)
+        for suite, fn in SUITES.items():
+            params = set(inspect.signature(fn).parameters)
+            assert params - {"config", "perturb", "jobs", "inputs"} \
+                == reachable[suite], suite
 
 
 class TestExitCodes:
@@ -300,6 +335,29 @@ class TestExitCodes:
         assert err.startswith("symvertex: error: ")
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [("--jobs", "0"),
+                                             ("--degree-budget", "-1")])
+    def test_bad_common_flag_is_named(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "zero-modes", flag, value])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith("symvertex verify: error: argument %s: "
+                               % flag)
+
+    @pytest.mark.parametrize("line, message", [
+        ("jobs = 0", "jobs must be >= 1"),
+        ("degree-budget = -1", "degree_budget must be >= 0"),
+    ])
+    def test_bad_config_value_names_config(self, capsys, tmp_path, line,
+                                           message):
+        cfg = tmp_path / "sv.conf"
+        cfg.write_text(line + "\n")
+        code, _, err = run(capsys, "verify", "zero-modes",
+                           "--config", str(cfg))
+        assert code == 2
+        assert err == "symvertex: error: --config: %s\n" % message
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "pi-schur", "--pi", "[1]",

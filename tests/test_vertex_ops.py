@@ -145,6 +145,32 @@ class TestModes:
         assert first.scale(2) - first - first == SymFunc.zero()
         assert dict(_vertex_coefficient((2,), dual, j, (2, 1)).c) == want
 
+    @pytest.mark.parametrize("pi", [(), (2,), (2, 1)])
+    def test_shifted_charge_convention_is_next_mode(self, pi):
+        # the clifford suite's deliberate mutation reads the extraction
+        # index off the shifted charge; it runs as mode at index m + 1
+        def post_shift_mode(kind, m, state):
+            dual = kind == "Xstar"
+            out = ChargedState()
+            for c, f in state.sectors.items():
+                tgt = (c - 1) if dual else (c + 1)
+                j = (tgt - 1 - m) if dual else (-m - tgt)
+                acc = SymFunc.zero()
+                for lam, co in f.c.items():
+                    acc = acc + _vertex_coefficient(pi, dual, j,
+                                                    lam).scale(co)
+                if acc:
+                    out = out + ChargedState({tgt: acc})
+            return out
+
+        for kind in ("X", "Xstar"):
+            for m in range(-3, 4):
+                for c in (-1, 0, 1):
+                    for lam in partitions_up_to(3):
+                        st0 = ChargedState.vacuum(c, S(lam))
+                        assert post_shift_mode(kind, m, st0) == \
+                            mode(pi, kind, m + 1, st0)
+
 
 class TestAnticommutator:
     def test_delta_pairing(self):
