@@ -331,6 +331,14 @@ def _run_verify(args, config):
 
 # #### parser ####
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error as the one line `symvertex: error: ...` and
+    exits 2, for the main parser and (by inheritance) every subparser."""
+
+    def error(self, message):
+        self.exit(2, "symvertex: error: %s\n" % message)
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
@@ -343,7 +351,7 @@ def build_parser():
     common.add_argument("--degree-budget", type=_t_count,
                         dest="degree_budget")
 
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="symvertex",
         description="Exact symmetric-function computations, deformed Schur "
                     "functions by independent routes, and verification "

@@ -351,16 +351,9 @@ def _col_kernel_layers(n_x, n_z, cap):
         for l in range(n_z):
             mono = ((1 << (shift + 4 * (n_x - 1 - k)))
                     | (1 << (4 * (n_z - 1 - l))))
-            new = dict(acc)
-            for kk, vv in acc.items():
-                if _degree(kk, n_z) < cap:  # low block = Z-degree
-                    nk = kk + mono
-                    nv = new.get(nk, 0) - vv
-                    if nv:
-                        new[nk] = nv
-                    else:
-                        new.pop(nk, None)
-            acc = new
+            # the low block of a key is its Z-degree
+            low = {kk: vv for kk, vv in acc.items() if _degree(kk, n_z) < cap}
+            acc = poly_add_scaled(dict(acc), low, -1, mono)
     layers = {d: {} for d in range(cap + 1)}
     for kk, vv in acc.items():
         layers[_degree(kk, n_z)][kk] = vv
@@ -416,13 +409,7 @@ def _extract_schur_z(kernel_layers, zfactor_layers, n_x, n_z, lam):
         if not B or not A:
             continue
         for ka, va in A.items():
-            for kb, vb in B.items():
-                nk = ka + kb
-                nv = zmap.get(nk, 0) + va * vb
-                if nv:
-                    zmap[nk] = nv
-                else:
-                    zmap.pop(nk, None)
+            poly_add_scaled(zmap, B, va, ka)
     # regroup by Z-monomial
     shift = 4 * n_z
     zmask = (1 << shift) - 1
@@ -440,13 +427,7 @@ def _extract_schur_z(kernel_layers, zfactor_layers, n_x, n_z, lam):
         for zk, mz in zschur.items():
             if zk == ztop:
                 continue
-            cell = grouped.setdefault(zk, {})
-            for xk, v in xc.items():
-                nv = cell.get(xk, 0) - mz * v
-                if nv:
-                    cell[xk] = nv
-                else:
-                    cell.pop(xk, None)
+            cell = poly_add_scaled(grouped.setdefault(zk, {}), xc, -mz)
             if not cell:
                 grouped.pop(zk, None)
     return target

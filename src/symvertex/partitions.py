@@ -49,14 +49,15 @@ def contains(outer, inner):
 def partitions_of(n, max_part=None, max_length=None):
     """All partitions of n in reverse-lexicographic (descending tuple) order.
 
-    Optional caps on the largest part and on the number of parts.
+    Optional caps on the largest part and on the number of parts; a
+    negative max_length admits no partition, not even the empty one.
     """
-    if n < 0:
-        return []
     if max_part is None:
         max_part = n
     if max_length is None:
         max_length = n
+    if n < 0 or max_length < 0:
+        return []
     if n == 0:
         return [()]
     if max_length == 0:

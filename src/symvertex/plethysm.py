@@ -34,9 +34,8 @@ class DegreeBudgetError(Exception):
 def power_substitute(k, expr):
     """Apply the ring map p_j -> p_{j*k}, the plethysm p_k[expr], to a
     power-sum expression (constants are fixed points)."""
-    out = PowerExpr()
-    out.c = {tuple(k * x for x in rho): a for rho, a in expr.c.items()}
-    return out
+    return PowerExpr._new({tuple(k * x for x in rho): a
+                           for rho, a in expr.c.items()})
 
 
 def plethysm(outer, inner, budget=DEFAULT_DEGREE_BUDGET):
@@ -179,72 +178,63 @@ def dual_pi_schur(pi, lam):
     return pi_schur(pi, conjugate(lam)).scale((-1) ** weight(lam))
 
 
-def pi_branch(pi, f):
-    """Adjoint row series of shape pi applied to f (all grades summed).
-    Inverse of pi_unbranch."""
+def _adjoint_series(family, pi, f):
+    """Adjoint of the row ('M') or column ('L') series of shape pi applied
+    to f, all grades summed."""
     pi = _require_nonempty(pi)
     shape = SymFunc.schur(pi)
     out = SymFunc.zero()
     for r in range(f.degree() // weight(pi) + 1):
-        out = out + f.skew_by(series_term("M", shape, r))
+        out = out + f.skew_by(series_term(family, shape, r))
     return out
+
+
+def pi_branch(pi, f):
+    """Adjoint row series of shape pi applied to f (all grades summed).
+    Inverse of pi_unbranch."""
+    return _adjoint_series("M", pi, f)
 
 
 def pi_unbranch(pi, f):
     """Adjoint column series of shape pi applied to f (all grades summed).
     Inverse of pi_branch."""
-    pi = _require_nonempty(pi)
-    shape = SymFunc.schur(pi)
-    out = SymFunc.zero()
-    for r in range(f.degree() // weight(pi) + 1):
-        out = out + f.skew_by(series_term("L", shape, r))
-    return out
+    return _adjoint_series("L", pi, f)
 
 
-def cauchy_pi_schur(pi, lam):
-    """Deformed Schur function assembled from explicit column-series
-    coefficients and Littlewood-Richardson numbers computed on the product
-    side (no skewing): sum over nu of L-coefficient(pi, nu) times
-    c^lam_{mu,nu} s_mu."""
+def _cauchy(pi, lam, dual):
+    """Deformed Schur function (dual: its companion) assembled from explicit
+    series coefficients and Littlewood-Richardson numbers computed on the
+    product side, with no skewing: the sum over nu of coefficient(nu) times
+    c^lam_{mu,nu} s_mu.  The plain family takes column-series coefficients
+    of pi.  The companion takes those of the conjugate shape -- column
+    series when |pi| is even, row series when it is odd -- with the sign
+    (-1)^|mu| and a conjugate on the output label."""
     pi = _require_nonempty(pi)
     lam = partition(lam)
-    shape = SymFunc.schur(pi)
-    out = {}
-    for r in range(weight(lam) // weight(pi) + 1):
-        for nu, lco in series_term("L", shape, r).c.items():
-            rest = weight(lam) - weight(nu)
-            for mu in partitions_of(rest):
-                c = product_schur_pair(mu, nu).get(lam, 0)
-                if c:
-                    v = out.get(mu, 0) + lco * c
-                    if v:
-                        out[mu] = v
-                    else:
-                        out.pop(mu, None)
-    return SymFunc(out)
-
-
-def cauchy_dual_pi_schur(pi, lam):
-    """Companion family assembled the same way from the conjugate shape:
-    uses column-series coefficients when |pi| is even and row-series
-    coefficients when |pi| is odd, with the sign (-1)^|mu| and a conjugate
-    on the output label."""
-    pi = _require_nonempty(pi)
-    lam = partition(lam)
-    family = "L" if weight(pi) % 2 == 0 else "M"
-    shape = SymFunc.schur(conjugate(pi))
+    if dual:
+        family = "L" if weight(pi) % 2 == 0 else "M"
+        shape = SymFunc.schur(conjugate(pi))
+    else:
+        family, shape = "L", SymFunc.schur(pi)
     out = {}
     for r in range(weight(lam) // weight(pi) + 1):
         for nu, co in series_term(family, shape, r).c.items():
-            rest = weight(lam) - weight(nu)
-            for mup in partitions_of(rest):
-                c = product_schur_pair(mup, nu).get(lam, 0)
-                if c:
-                    mu = conjugate(mup)
-                    sign = (-1) ** weight(mu)
-                    v = out.get(mu, 0) + sign * co * c
-                    if v:
-                        out[mu] = v
-                    else:
-                        out.pop(mu, None)
-    return SymFunc(out)
+            for mu in partitions_of(weight(lam) - weight(nu)):
+                c = product_schur_pair(mu, nu).get(lam, 0)
+                if not c:
+                    continue
+                if dual:
+                    mu = conjugate(mu)
+                    c *= (-1) ** weight(mu)
+                out[mu] = out.get(mu, 0) + co * c
+    return SymFunc._new(out)
+
+
+def cauchy_pi_schur(pi, lam):
+    """Deformed Schur function by the Cauchy route (see _cauchy)."""
+    return _cauchy(pi, lam, False)
+
+
+def cauchy_dual_pi_schur(pi, lam):
+    """Companion family by the Cauchy route (see _cauchy)."""
+    return _cauchy(pi, lam, True)

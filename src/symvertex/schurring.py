@@ -11,6 +11,11 @@ functions adds Murnaghan-Nakayama border strips one power sum at a time,
 and memoized characters, built from the same strip step, serve only the
 way there (to_power).  The oracle module deliberately shares none of this
 machinery.
+
+Every value is a _LinComb, the one linear-combination core: SymFunc and
+PowerExpr here, vertexops.ChargedState over charge sectors.  Public
+construction validates each key; dicts the kernel built itself go through
+the trusted _new, which only drops zeros and normalizes coefficients.
 """
 
 from fractions import Fraction
@@ -349,28 +354,46 @@ def _norm_coeff(c):
 
 
 class _LinComb:
-    """A finite linear combination of partition-indexed basis elements with
-    exact coefficients: a dict {partition tuple: int | Fraction} with no
-    explicit zeros.  Holds the vector-space structure that the Schur-basis
-    SymFunc and the power-sum PowerExpr share."""
+    """The one linear-combination core: a finite combination of basis
+    elements, held as a dict {key: value} with no zero values.  SymFunc
+    (Schur basis), PowerExpr (power sums) and vertexops.ChargedState
+    (charge sectors, valued in SymFunc) are its subclasses.
+
+    Two constructors fill the dict.  The public one, cls(coeffs), runs
+    every key through the subclass's _key (partition() for the partition
+    bases) and every value through _coerce.  The trusted one, cls._new(d),
+    is for dicts the kernel built itself: it skips the key check and only
+    drops zero values and turns integral Fractions into ints.  Kernel
+    sums accumulate as d[k] = d.get(k, 0) + v, which __radd__ allows."""
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs=None):
-        d = {}
-        if coeffs:
-            for lam, c in coeffs.items():
-                if c:
-                    d[partition(lam)] = _norm_coeff(c)
-        self.c = d
+    _key = staticmethod(partition)
+    _coerce = staticmethod(_norm_coeff)
 
-    def _new(self, d):
-        out = type(self)()
-        out.c = d
+    def __init__(self, coeffs=None):
+        self.c = {}
+        for k, v in (coeffs or {}).items():
+            v = self._coerce(v)
+            if v:
+                self.c[self._key(k)] = v
+
+    @classmethod
+    def _new(cls, d):
+        out = cls.__new__(cls)
+        out.c = {k: _norm_coeff(v) for k, v in d.items() if v}
         return out
 
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls._new({(): 1})
+
     def terms(self):
-        """Items sorted by partition in reverse-lexicographic order."""
+        """Items sorted by key in reverse-lexicographic order."""
         return sorted(self.c.items(), key=lambda kv: kv[0], reverse=True)
 
     def degree(self):
@@ -386,31 +409,42 @@ class _LinComb:
         return NotImplemented
 
     def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         d = dict(self.c)
-        for lam, c in other.c.items():
-            v = d.get(lam, 0) + c
-            if v:
-                d[lam] = _norm_coeff(v)
-            else:
-                d.pop(lam, None)
+        for k, v in other.c.items():
+            d[k] = d.get(k, 0) + v
         return self._new(d)
 
+    def __radd__(self, other):
+        if other == 0:
+            return self
+        return NotImplemented
+
     def __neg__(self):
-        return self._new({lam: -c for lam, c in self.c.items()})
+        return self._new({k: -v for k, v in self.c.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, a):
-        if not a:
-            return type(self)()
-        return self._new({lam: _norm_coeff(c * a)
-                          for lam, c in self.c.items()})
+        return self._new({k: v * a for k, v in self.c.items()} if a else {})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
+
+    def _bilinear(self, other, pair):
+        """Sum of a*b*pair(k, j) over the terms a of key k in self and b of
+        key j in other, where pair(k, j) is a read-only {key: int}."""
+        d = {}
+        for k, a in self.c.items():
+            for j, b in other.c.items():
+                ab = a * b
+                for key, m in pair(k, j).items():
+                    d[key] = d.get(key, 0) + ab * m
+        return self._new(d)
 
 
 class SymFunc(_LinComb):
@@ -423,22 +457,11 @@ class SymFunc(_LinComb):
     __slots__ = ()
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
-
-    @classmethod
     def schur(cls, lam):
-        return cls({partition(lam): 1})
+        return cls._new({partition(lam): 1})
 
     def coeff(self, lam):
         return self.c.get(partition(lam), 0)
-
-    def support(self):
-        return sorted(self.c, reverse=True)
 
     def is_homogeneous(self):
         return len({sum(lam) for lam in self.c}) <= 1
@@ -448,48 +471,29 @@ class SymFunc(_LinComb):
         parts = {}
         for lam, c in self.c.items():
             parts.setdefault(sum(lam), {})[lam] = c
-        return {d: SymFunc(v) for d, v in sorted(parts.items())}
+        return {d: SymFunc._new(v) for d, v in sorted(parts.items())}
 
     def homogeneous_part(self, d):
-        return SymFunc({lam: c for lam, c in self.c.items() if sum(lam) == d})
+        return SymFunc._new({lam: c for lam, c in self.c.items()
+                             if sum(lam) == d})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, SymFunc):
             return NotImplemented
-        d = {}
-        for mu, a in self.c.items():
-            for nu, b in other.c.items():
-                ab = a * b
-                for lam, m in product_schur_pair(mu, nu).items():
-                    v = d.get(lam, 0) + ab * m
-                    if v:
-                        d[lam] = v
-                    else:
-                        d.pop(lam, None)
-        return SymFunc(d)
+        return self._bilinear(other, product_schur_pair)
 
     def skew_by(self, other):
         """Apply the adjoint of multiplication by `other` (partition or
         SymFunc) to self."""
         if not isinstance(other, SymFunc):
             other = SymFunc.schur(other)
-        d = {}
-        for mu, a in other.c.items():
-            for lam, b in self.c.items():
-                ab = a * b
-                for nu, m in skew_schur_pair(mu, lam).items():
-                    v = d.get(nu, 0) + ab * m
-                    if v:
-                        d[nu] = v
-                    else:
-                        d.pop(nu, None)
-        return SymFunc(d)
+        return other._bilinear(self, skew_schur_pair)
 
     def omega(self):
         """The involution transposing every indexing partition."""
-        return SymFunc({conjugate(lam): c for lam, c in self.c.items()})
+        return SymFunc._new({conjugate(lam): c for lam, c in self.c.items()})
 
     def inner(self, other):
         """Hall inner product (Schur functions are orthonormal)."""
@@ -536,10 +540,6 @@ class PowerExpr(_LinComb):
 
     __slots__ = ()
 
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -549,12 +549,8 @@ class PowerExpr(_LinComb):
         for rho, a in self.c.items():
             for tau, b in other.c.items():
                 kappa = tuple(sorted(rho + tau, reverse=True))
-                v = d.get(kappa, 0) + a * b
-                if v:
-                    d[kappa] = v
-                else:
-                    d.pop(kappa, None)
-        return PowerExpr(d)
+                d[kappa] = d.get(kappa, 0) + a * b
+        return self._new(d)
 
     def __repr__(self):
         if not self.c:
@@ -583,12 +579,9 @@ def to_power(f):
         for rho in partitions_of(sum(lam)):
             ch = charvalue(lam, rho)
             if ch:
-                v = d.get(rho, 0) + a * Fraction(ch, centralizer_order(rho))
-                if v:
-                    d[rho] = v
-                else:
-                    d.pop(rho, None)
-    return PowerExpr(d)
+                v = a * Fraction(ch, centralizer_order(rho))
+                d[rho] = d.get(rho, 0) + v
+    return PowerExpr._new(d)
 
 
 def from_power(expr):
@@ -599,8 +592,8 @@ def from_power(expr):
     den = lcm(*(a.denominator for a in expr.c.values()))
     d = _from_power_int({rho: int(a * den) for rho, a in expr.c.items()},
                         {})
-    return SymFunc(d if den == 1 else
-                   {lam: Fraction(c, den) for lam, c in d.items()})
+    return SymFunc._new(d if den == 1 else
+                        {lam: Fraction(c, den) for lam, c in d.items()})
 
 
 def _from_power_int(terms, strips):

@@ -26,80 +26,49 @@ from types import MappingProxyType
 
 from .partitions import partition, weight
 from .plethysm import series_term
-from .schurring import SymFunc, format_symfunc
+from .schurring import SymFunc, _LinComb, format_symfunc
 
 
 # #### charged states ####
 
-class ChargedState:
-    """Finite sum of charge sectors: dict {charge: SymFunc}, no zero
-    sectors.  Supports the same linear operations as SymFunc, applied
-    sector by sector (none of them move charge)."""
+class ChargedState(_LinComb):
+    """Finite sum of charge sectors: a _LinComb keyed by charge whose
+    values are SymFunc, no zero sectors.  Supports the same linear
+    operations as SymFunc, applied sector by sector (none of them move
+    charge)."""
 
-    __slots__ = ("sectors",)
+    __slots__ = ()
 
-    def __init__(self, sectors=None):
-        d = {}
-        if sectors:
-            for c, f in sectors.items():
-                if not isinstance(f, SymFunc):
-                    f = SymFunc(f)
-                if f:
-                    d[int(c)] = f
-        self.sectors = d
+    _key = staticmethod(int)
+    _coerce = staticmethod(lambda f: f if isinstance(f, SymFunc)
+                           else SymFunc(f))
+
+    @property
+    def sectors(self):
+        """The {charge: SymFunc} map (read-only alias of c)."""
+        return self.c
 
     @classmethod
     def vacuum(cls, charge=0, value=None):
         return cls({charge: value if value is not None else SymFunc.one()})
 
-    def __bool__(self):
-        return bool(self.sectors)
-
-    def __eq__(self, other):
-        if isinstance(other, ChargedState):
-            return self.sectors == other.sectors
-        return NotImplemented
-
-    def __add__(self, other):
-        d = dict(self.sectors)
-        for c, f in other.sectors.items():
-            g = d.get(c)
-            s = f if g is None else g + f
-            if s:
-                d[c] = s
-            else:
-                d.pop(c, None)
-        out = ChargedState()
-        out.sectors = d
-        return out
-
-    def scale(self, a):
-        out = ChargedState()
-        out.sectors = {c: f.scale(a) for c, f in self.sectors.items() if a}
-        return out
+    one = vacuum
 
     def __mul__(self, term):
-        out = ChargedState()
-        out.sectors = {c: g for c, f in self.sectors.items() if (g := f * term)}
-        return out
+        return self._new({c: f * term for c, f in self.c.items()})
 
     def skew_by(self, term):
-        out = ChargedState()
-        out.sectors = {c: g for c, f in self.sectors.items()
-                       if (g := f.skew_by(term))}
-        return out
+        return self._new({c: f.skew_by(term) for c, f in self.c.items()})
 
     def degree(self):
-        return max((f.degree() for f in self.sectors.values()), default=0)
+        return max((f.degree() for f in self.c.values()), default=0)
 
     def shift_charge(self, k):
-        out = ChargedState()
-        out.sectors = {c + k: f for c, f in self.sectors.items()}
-        return out
+        return self._new({c + k: f for c, f in self.c.items()})
 
     def __repr__(self):
         bits = ["|%d, %s>" % (c, format_symfunc(f))
-                for c, f in sorted(self.sectors.items())]
+                for c, f in sorted(self.c.items())]
         return " + ".join(bits) if bits else "0"
 
 
@@ -132,11 +101,8 @@ class LaurentMap:
 
     def __init__(self, varnames, data=None):
         self.vars = tuple(varnames)
-        self.data = {}
-        if data:
-            for e, v in data.items():
-                if v:
-                    self.data[tuple(int(x) for x in e)] = v
+        self.data = {tuple(int(x) for x in e): v
+                     for e, v in (data or {}).items() if v}
 
     def get(self, exps):
         return self.data.get(tuple(exps))
@@ -176,22 +142,10 @@ def multiply_one_minus_monomial(lmap, exps, times=1):
     for _ in range(times):
         data = {}
         for e, v in out.data.items():
-            g = data.get(e)
-            s = v if g is None else g + v
-            if s:
-                data[e] = s
-            else:
-                data.pop(e, None)
-            shifted = tuple(e[i] + exps[i] for i in range(len(e)))
-            g = data.get(shifted)
-            s = v.scale(-1) if g is None else g + v.scale(-1)
-            if s:
-                data[shifted] = s
-            else:
-                data.pop(shifted, None)
-        new = LaurentMap(out.vars)
-        new.data = data
-        out = new
+            data[e] = data.get(e, 0) + v
+            shifted = tuple(x + y for x, y in zip(e, exps))
+            data[shifted] = data.get(shifted, 0) + (-v)
+        out = LaurentMap(out.vars, data)
     return out
 
 
@@ -293,8 +247,8 @@ def _termination_plan(chain, state_degree, window):
     lo = [window[v][0] for v in chain.vars]
     hi = [window[v][1] for v in chain.vars]
     rb = [0] * T
-    for _ in range(T + 4):
-        changed = False
+
+    def reach():
         down = [[0] * nv for _ in range(T + 1)]
         up = [[0] * nv for _ in range(T + 1)]
         for u in range(T - 1, -1, -1):
@@ -302,6 +256,11 @@ def _termination_plan(chain, state_degree, window):
                 e = app[u].exps[v]
                 down[u][v] = down[u + 1][v] + rb[u] * max(0, -e)
                 up[u][v] = up[u + 1][v] + rb[u] * max(0, e)
+        return down, up
+
+    for _ in range(T + 4):
+        changed = False
+        down, up = reach()
         drop = [0] * nv
         rise = [0] * nv
         deg = state_degree
@@ -342,14 +301,7 @@ def _termination_plan(chain, state_degree, window):
             break
     else:
         raise ValueError("factor chain termination plan did not stabilize")
-    down = [[0] * nv for _ in range(T + 1)]
-    up = [[0] * nv for _ in range(T + 1)]
-    for u in range(T - 1, -1, -1):
-        for v in range(nv):
-            e = app[u].exps[v]
-            down[u][v] = down[u + 1][v] + rb[u] * max(0, -e)
-            up[u][v] = up[u + 1][v] + rb[u] * max(0, e)
-    return rb, down, up
+    return (rb,) + reach()
 
 
 def apply_chain(chain, state, window):
@@ -358,12 +310,8 @@ def apply_chain(chain, state, window):
     both ends).  Returns a LaurentMap."""
     w = normalize_window(window, chain.vars)
     nv = len(chain.vars)
-    if isinstance(state, ChargedState):
-        zero = ChargedState()
-    else:
-        if not isinstance(state, SymFunc):
-            raise TypeError("state must be a SymFunc or ChargedState")
-        zero = SymFunc.zero()
+    if not isinstance(state, (SymFunc, ChargedState)):
+        raise TypeError("state must be a SymFunc or ChargedState")
     out = LaurentMap(chain.vars)
     if not state:
         return out
@@ -374,8 +322,12 @@ def apply_chain(chain, state, window):
     cur = {(0,) * nv: state}
     for u, f in enumerate(app):
         dmin = _min_degree(f.shape)
-        nxt = {}
         fin = _finite_series_bound(f)
+        # the box of exponents that later factors can still bring back
+        # into the window
+        lo_u = [lo[v] - up[u + 1][v] for v in range(nv)]
+        hi_u = [hi[v] + down[u + 1][v] for v in range(nv)]
+        nxt = {}
         for exps, val in cur.items():
             if f.action == "skew" and dmin >= 1:
                 rmax = val.degree() // dmin
@@ -383,81 +335,62 @@ def apply_chain(chain, state, window):
                 rmax = fin
             else:
                 rmax = rb[u]
-                for v in range(nv):
-                    e = f.exps[v]
+                for v, e in enumerate(f.exps):
                     if e > 0:
-                        rmax = min(rmax, (hi[v] + down[u + 1][v] - exps[v]) // e)
+                        rmax = min(rmax, (hi_u[v] - exps[v]) // e)
                     elif e < 0:
-                        rmax = min(rmax, (exps[v] - (lo[v] - up[u + 1][v])) // (-e))
+                        rmax = min(rmax, (exps[v] - lo_u[v]) // (-e))
             for r in range(rmax + 1):
                 term = f.term(r)
                 if not term:
                     continue
-                ne = tuple(exps[v] + r * f.exps[v] for v in range(nv))
-                keep = True
-                for v in range(nv):
-                    if not (lo[v] - up[u + 1][v] <= ne[v] <= hi[v] + down[u + 1][v]):
-                        keep = False
-                        break
-                if not keep:
+                ne = tuple(x + r * e for x, e in zip(exps, f.exps))
+                if not all(a <= x <= b for a, x, b in zip(lo_u, ne, hi_u)):
                     continue
                 if f.action == "multiply":
                     nv_val = val * term
                 else:
                     nv_val = val.skew_by(term)
-                if not nv_val:
-                    continue
-                g = nxt.get(ne)
-                s = nv_val if g is None else g + nv_val
-                if s:
-                    nxt[ne] = s
-                else:
-                    nxt.pop(ne, None)
-        cur = nxt
+                if nv_val:
+                    nxt[ne] = nxt.get(ne, 0) + nv_val
+        cur = {e: v for e, v in nxt.items() if v}
         if not cur:
             break
-    for exps, val in cur.items():
-        if all(lo[v] <= exps[v] <= hi[v] for v in range(nv)) and val:
-            out.data[exps] = val
+    out.data = {e: val for e, val in cur.items()
+                if all(a <= x <= b for a, x, b in zip(lo, e, hi))}
     return out
 
 
 # #### the two vertex operator families ####
 
-def build_vertex(pi, var="z"):
+def build_vertex(pi, var="z", dual=False):
     """Creation vertex operator of shape pi in one variable: multiplication
     by the row series in z, the adjoint column series in 1/z, and one
     adjoint column series of the k-row skew of pi in z^k for each k up to
-    the first row of pi."""
+    the first row of pi.
+
+    With dual=True, the annihilation operator: multiplication by the
+    column series in z, the adjoint row series in 1/z, and for each column
+    depth k up to the length of pi an adjoint series of the k-column skew
+    of pi in z^k -- row series for odd k, column series for even k."""
     pi = partition(pi)
     vs = (var,)
     s1 = SymFunc.schur((1,))
-    factors = [make_factor("multiply", "M", s1, (1,), vs),
-               make_factor("skew", "L", s1, (-1,), vs)]
-    top = pi[0] if pi else 0
+    mult, adj = ("L", "M") if dual else ("M", "L")
+    factors = [make_factor("multiply", mult, s1, (1,), vs),
+               make_factor("skew", adj, s1, (-1,), vs)]
+    top = len(pi) if dual else (pi[0] if pi else 0)
     for k in range(1, top + 1):
-        shape = SymFunc.schur(pi).skew_by((k,))
+        shape = SymFunc.schur(pi).skew_by((1,) * k if dual else (k,))
         if shape:
-            factors.append(make_factor("skew", "L", shape, (k,), vs))
+            fam = "M" if dual and k % 2 == 1 else "L"
+            factors.append(make_factor("skew", fam, shape, (k,), vs))
     return FactorChain(vs, factors)
 
 
 def build_dual_vertex(pi, var="z"):
-    """Annihilation vertex operator of shape pi: multiplication by the
-    column series in z, the adjoint row series in 1/z, and for each column
-    depth j up to the length of pi an adjoint series of the j-column skew
-    of pi in z^j -- row series for odd j, column series for even j."""
-    pi = partition(pi)
-    vs = (var,)
-    s1 = SymFunc.schur((1,))
-    factors = [make_factor("multiply", "L", s1, (1,), vs),
-               make_factor("skew", "M", s1, (-1,), vs)]
-    for j in range(1, len(pi) + 1):
-        shape = SymFunc.schur(pi).skew_by((1,) * j)
-        if shape:
-            fam = "M" if j % 2 == 1 else "L"
-            factors.append(make_factor("skew", fam, shape, (j,), vs))
-    return FactorChain(vs, factors)
+    """Annihilation vertex operator of shape pi (build_vertex, dual=True)."""
+    return build_vertex(pi, var, dual=True)
 
 
 def _embed_chain(chain1, position, varnames):
@@ -476,10 +409,10 @@ def string_chain(pi, m, dual=False, varnames=None):
     in variables z1..zm as a single chain."""
     if varnames is None:
         varnames = tuple("z%d" % (i + 1) for i in range(m))
-    build = build_dual_vertex if dual else build_vertex
     factors = []
     for i in range(m):
-        factors.extend(_embed_chain(build(pi), i, varnames))
+        factors.extend(_embed_chain(build_vertex(pi, dual=dual), i,
+                                    varnames))
     return FactorChain(tuple(varnames), factors)
 
 
@@ -519,7 +452,7 @@ def _vertex_coefficient(pi, dual, j, lam):
     found = _mode_memo.get(key)
     if found is not None:
         return found
-    chain = build_dual_vertex(pi) if dual else build_vertex(pi)
+    chain = build_vertex(pi, dual=dual)
     res = apply_chain(chain, SymFunc.schur(lam), {"z": (j, j)})
     val = res.get((j,))
     if val is None:
@@ -550,16 +483,15 @@ def mode(pi, kind, m, state):
     dual = _kind_is_dual(kind)
     if not isinstance(state, ChargedState):
         raise TypeError("mode acts on a ChargedState")
-    out = ChargedState()
-    for c, f in state.sectors.items():
+    out = {}
+    for c, f in state.c.items():
         j = (c - 1 - m) if dual else (-m - c)
-        tgt = (c - 1) if dual else (c + 1)
-        acc = SymFunc.zero()
+        acc = {}
         for lam, co in f.c.items():
-            acc = acc + _vertex_coefficient(pi, dual, j, lam).scale(co)
-        if acc:
-            out = out + ChargedState({tgt: acc})
-    return out
+            for nu, v in _vertex_coefficient(pi, dual, j, lam).c.items():
+                acc[nu] = acc.get(nu, 0) + co * v
+        out[(c - 1) if dual else (c + 1)] = SymFunc._new(acc)
+    return ChargedState._new(out)
 
 
 def anticommutator(pi, kind_a, m, kind_b, n, state, pi_b=None):
@@ -620,16 +552,10 @@ def _skew_by_rows_cols(pi, rows, cols):
     """Skew the Schur function of pi by a product of one-row pieces (sizes
     in `rows`) and one-column pieces (sizes in `cols`)."""
     shape = SymFunc.schur(pi)
-    for k in rows:
-        if k:
-            shape = shape.skew_by((k,))
+    for part in [(k,) for k in rows if k] + [(1,) * k for k in cols if k]:
         if not shape:
-            return shape
-    for k in cols:
-        if k:
-            shape = shape.skew_by((1,) * k)
-        if not shape:
-            return shape
+            break
+        shape = shape.skew_by(part)
     return shape
 
 
@@ -702,28 +628,19 @@ def normal_ordered_pair(pi, kinds, varnames=("z", "w")):
         make_factor("skew", "M" if a else "L", s1, (-1, 0), vs),
         make_factor("skew", "L" if a else "M", s1, (0, -1), vs),
     ]
-    row_top = pi[0] if pi else 0
-    col_top = len(pi)
-    if not a:
-        # creation(z) * annihilation(w): rows graded by z, columns by w
-        for i in range(row_top + 1):
-            for k in range(col_top + 1):
-                if i == 0 and k == 0:
-                    continue
-                shape = _skew_by_rows_cols(pi, (i,), (k,))
-                if shape:
-                    fam = "M" if k % 2 == 1 else "L"
-                    factors.append(make_factor("skew", fam, shape, (i, k), vs))
-    else:
-        # annihilation(z) * creation(w): columns graded by z, rows by w
-        for k in range(col_top + 1):
-            for j in range(row_top + 1):
-                if k == 0 and j == 0:
-                    continue
-                shape = _skew_by_rows_cols(pi, (j,), (k,))
-                if shape:
-                    fam = "M" if k % 2 == 1 else "L"
-                    factors.append(make_factor("skew", fam, shape, (k, j), vs))
+    # creation(z) * annihilation(w) grades rows by z and columns by w;
+    # annihilation(z) * creation(w) grades columns by z and rows by w
+    row_top, col_top = (pi[0] if pi else 0), len(pi)
+    z_top, w_top = (col_top, row_top) if a else (row_top, col_top)
+    for x in range(z_top + 1):
+        for y in range(w_top + 1):
+            if not (x or y):
+                continue
+            rows, cols = (y, x) if a else (x, y)
+            shape = _skew_by_rows_cols(pi, (rows,), (cols,))
+            if shape:
+                fam = "M" if cols % 2 == 1 else "L"
+                factors.append(make_factor("skew", fam, shape, (x, y), vs))
     return NormalProduct(vs, prefactors, FactorChain(vs, factors))
 
 

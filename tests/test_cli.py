@@ -26,6 +26,52 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# verify flags that argparse itself rejects: (suite, flag, value)
+MALFORMED_VERIFY_FLAGS = [
+    ("multivertex", "--m", "0"),
+    ("multivertex", "--m", "-1"),
+    ("reordering", "--test-degree", "-1"),
+    ("clifford", "--degree-bound", "-1"),
+    ("theorem2", "--max-weight", "-1"),
+    ("theorem2", "--max-length", "-1"),
+    ("inverse-series", "--max-sigma-weight", "-1"),
+    ("inverse-series", "--max-zweight", "-1"),
+    ("clifford", "--charges", ","),
+]
+
+# every malformed command line of this file, rejected while parsing or
+# while running
+MALFORMED_ARGV = [("verify", suite, flag, value)
+                  for suite, flag, value in MALFORMED_VERIFY_FLAGS] + [
+    ("pi-schur", "--pi", "[2,3]", "--lambda", "[1]"),
+    ("pi-schur", "--pi", "[1]", "--lambda", "[1]", "--format", "xml"),
+    ("verify", "zero-modes", "--jobs", "0"),
+    ("verify", "zero-modes", "--degree-budget", "-1"),
+    ("pi-schur", "--pi", "[]", "--lambda", "[2]", "--route", "oracle"),
+    ("series", "--family", "M", "--shape", "[1]", "--skew", "[2]",
+     "--max-r", "1"),
+    ("mode", "--pi", "[1]", "--kind", "X", "--m", "0", "--state",
+     "not a state"),
+    ("verify", "zero-modes", "--test-degree", "3"),
+    ("verify", "reordering", "--cases", "XX"),
+    ("pi-schur", "--pi", "[1]", "--lambda", "[1]", "--config",
+     "/no/such/file"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV)
+def test_malformed_argv_is_one_error_line(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("symvertex: error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 class TestPiSchur:
     def test_basic_value_text(self, capsys):
         code, out, _ = run(capsys, "pi-schur", "--pi", "[2]",
@@ -232,17 +278,7 @@ class TestVerifyCommand:
         assert code == 2
         assert "--test-degree" in err
 
-    @pytest.mark.parametrize("suite, flag, value", [
-        ("multivertex", "--m", "0"),
-        ("multivertex", "--m", "-1"),
-        ("reordering", "--test-degree", "-1"),
-        ("clifford", "--degree-bound", "-1"),
-        ("theorem2", "--max-weight", "-1"),
-        ("theorem2", "--max-length", "-1"),
-        ("inverse-series", "--max-sigma-weight", "-1"),
-        ("inverse-series", "--max-zweight", "-1"),
-        ("clifford", "--charges", ","),
-    ])
+    @pytest.mark.parametrize("suite, flag, value", MALFORMED_VERIFY_FLAGS)
     def test_malformed_flag_runs_no_cases(self, capsys, suite, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["verify", suite, flag, value])
@@ -342,9 +378,9 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "zero-modes", flag, value])
         assert exc.value.code == 2
-        last = capsys.readouterr().err.strip().splitlines()[-1]
-        assert last.startswith("symvertex verify: error: argument %s: "
-                               % flag)
+        err = capsys.readouterr().err
+        assert err.startswith("symvertex: error: argument %s: " % flag)
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("line, message", [
         ("jobs = 0", "jobs must be >= 1"),

@@ -111,6 +111,11 @@ class TestEnumeration:
     def test_up_to_respects_length(self):
         assert all(len(p) <= 2 for p in partitions_up_to(6, max_length=2))
 
+    def test_negative_length_admits_nothing(self):
+        assert partitions_of(0, max_length=-1) == []
+        assert partitions_of(4, max_length=-1) == []
+        assert partitions_up_to(6, max_length=-1) == []
+
 
 class TestShapeScans:
     def test_subpartitions(self):

@@ -10,7 +10,8 @@ from symvertex.oracle import oracle_product
 from symvertex.partitions import (conjugate, contains, partition,
                                   partitions_of, partitions_up_to, weight)
 from symvertex.schurring import (PowerExpr, SymFunc, border_strips,
-                                 centralizer_order, charvalue, from_power,
+                                 centralizer_order, charvalue,
+                                 format_symfunc, from_power,
                                  lr_coefficient, multi_lr, pieri_row,
                                  pieri_row_down, power_inner,
                                  product_schur_pair, skew_schur_pair,
@@ -322,3 +323,33 @@ class TestSymFuncValue:
     def test_addition_abelian(self, f, g):
         assert f + g == g + f
         assert f - f == SymFunc.zero()
+
+    @given(symfunc_strategy())
+    def test_zero_is_a_left_identity(self, f):
+        assert 0 + f == f
+        assert sum([f, f]) == f.scale(2)
+
+    @pytest.mark.parametrize("cls", [SymFunc, PowerExpr])
+    def test_public_constructor_checks_keys(self, cls):
+        with pytest.raises(ValueError):
+            cls({(1, 2): 1})
+        assert cls({(2, 0): 1}) == cls({(2,): 1})
+
+    @pytest.mark.parametrize("cls", [SymFunc, PowerExpr])
+    def test_kernel_constructor_normalizes(self, cls):
+        for f in (cls._new({(2,): Fraction(4, 2), (1,): 0}),
+                  cls({(2,): Fraction(4, 2), (1,): 0})):
+            assert f.c == {(2,): 2}
+            assert type(f.c[(2,)]) is int
+        assert not cls._new({(1,): Fraction(0)})
+
+    def test_bases_do_not_mix(self):
+        with pytest.raises(TypeError):
+            S((2,)) + PowerExpr({(2,): 1})
+        with pytest.raises(TypeError):
+            S((2,)) + 1
+
+    def test_integral_fraction_prints_as_int(self):
+        half = S((1,)).scale(Fraction(1, 2))
+        assert format_symfunc(half.scale(4)) == "2*s[1]"
+        assert format_symfunc(half + half + half + half) == "2*s[1]"

@@ -179,6 +179,10 @@ class TestSuiteSpecifics:
                                      include_oracle=True)
         assert rep.passed()
 
+    def test_route_agreement_negative_length_runs_nothing(self):
+        rep = verify_route_agreement(max_length=-1)
+        assert rep.cases_run == 0
+
     def test_inverse_series_parts(self):
         rep = verify_inverse_series(max_sigma_weight=1, max_zweight=4,
                                     hook_pis=[(1,)])

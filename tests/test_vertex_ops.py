@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +20,13 @@ from symvertex.vertexops import (ChargedState, FactorChain, LaurentMap,
 
 S = SymFunc.schur
 ONE = SymFunc.one()
+
+_COEFFS = st.sampled_from([1, -1, 2, Fraction(-1, 2)])
+SMALL_SYMFUNCS = st.lists(
+    st.tuples(st.sampled_from(partitions_up_to(3)), _COEFFS), max_size=3
+).map(lambda ts: sum((S(p).scale(c) for p, c in ts), SymFunc.zero()))
+STATES = st.dictionaries(st.integers(-2, 2), SMALL_SYMFUNCS,
+                         max_size=3).map(ChargedState)
 
 
 def chain_summary(chain):
@@ -316,6 +325,36 @@ class TestLaurentAndStates:
         a = ChargedState({1: S((2, 1))})
         assert a.skew_by(S((1,))) == ChargedState({1: S((2,)) + S((1, 1))})
         assert a * S((1,)) == ChargedState({1: S((2, 1)) * S((1,))})
+
+    def test_state_constructor_checks_and_coerces(self):
+        with pytest.raises(ValueError):
+            ChargedState({0: {(1, 2): 1}})
+        zero = ChargedState({0: {(1,): 0}})
+        assert not zero and zero.sectors == {}
+        with pytest.raises(TypeError):
+            ChargedState.vacuum(0) + ONE
+
+    @given(STATES, STATES, SMALL_SYMFUNCS,
+           st.sampled_from([0, 2, -1, Fraction(1, 2)]), st.integers(-2, 2))
+    def test_state_is_sector_by_sector(self, a, b, term, k, shift):
+        def by_sector(op, *states):
+            charges = set().union(*(s.sectors for s in states))
+            got = {c: op(*(s.sectors.get(c, SymFunc.zero())
+                           for s in states)) for c in charges}
+            return {c: f for c, f in got.items() if f}
+
+        assert (a + b).sectors == by_sector(lambda f, g: f + g, a, b)
+        assert (a - b).sectors == by_sector(lambda f, g: f - g, a, b)
+        assert (-a).sectors == by_sector(lambda f: -f, a)
+        assert a.scale(k).sectors == by_sector(lambda f: f.scale(k), a)
+        assert (a * term).sectors == by_sector(lambda f: f * term, a)
+        assert a.skew_by(term).sectors == \
+            by_sector(lambda f: f.skew_by(term), a)
+        assert a.shift_charge(shift).sectors == \
+            {c + shift: f for c, f in a.sectors.items()}
+        for zero in (a - a, a + (-a), a.scale(0)):
+            assert not zero and zero.sectors == {}
+            assert zero == ChargedState()
 
     def test_factor_term_grading(self):
         vs = ("z", "w")
