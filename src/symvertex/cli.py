@@ -13,7 +13,7 @@ import inspect
 import json
 import sys
 
-from .config import ENV_CONFIG, ConfigError, _parse_range, load_config
+from .config import ENV_CONFIG, ConfigError, load_config
 from .jsonform import dumps, parse_symfunc, state_from_obj, state_to_obj, \
     symfunc_to_obj
 from .oracle import (oracle_dual_pi_schur, oracle_pi_schur, oracle_plethysm,
@@ -46,10 +46,24 @@ def _t_partition(text):
 
 
 def _t_range(text):
-    try:
-        return _parse_range(text)
-    except ConfigError as e:
-        raise argparse.ArgumentTypeError(str(e))
+    """'a..b' or 'a:b' or '[a,b]' -> (a, b) with a <= b."""
+    s = text.strip()
+    if s.startswith("[") and s.endswith("]"):
+        s = s[1:-1]
+    for sep in ("..", ":", ","):
+        if sep in s:
+            a, b = s.split(sep, 1)
+            try:
+                lo, hi = int(a), int(b)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    "range %r has non-integer endpoints" % text)
+            if lo > hi:
+                raise argparse.ArgumentTypeError("range %r has lo > hi"
+                                                 % text)
+            return (lo, hi)
+    raise argparse.ArgumentTypeError("cannot parse range %r (use lo..hi)"
+                                     % text)
 
 
 def _t_int_at_least(lo):
@@ -320,7 +334,7 @@ def _run_verify(args, config):
         key, what = _BUDGETED[suite]
         value = kwargs.get(key, inspect.signature(fn).parameters[key].default)
         _check_budget(config, value, what % value)
-    report = fn(config, perturb=args.perturb, **kwargs)
+    report = fn(perturb=args.perturb, **kwargs)
 
     if args.timing == "none":
         report.elapsed_ms = 0

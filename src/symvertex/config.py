@@ -1,8 +1,10 @@
-"""Runtime configuration shared by the CLI and the verification suites.
+"""Runtime configuration of the CLI: degree budget, output format, jobs.
 
 A config file is plain ``key = value`` lines (# comments allowed); the
 environment variable SYMVERTEX_CONFIG names a default file.  Command-line
-flags override file values, which override the dataclass defaults.
+flags override file values, which override the dataclass defaults.  Suite
+ranges are not configuration: each `verify_*` signature holds its own
+defaults, and only the `verify` flags change them.
 """
 
 import os
@@ -16,49 +18,11 @@ class ConfigError(Exception):
 ENV_CONFIG = "SYMVERTEX_CONFIG"
 
 
-def _parse_range(text):
-    """'a..b' or 'a:b' or '[a,b]' -> (a, b) with a <= b."""
-    s = text.strip()
-    if s.startswith("[") and s.endswith("]"):
-        s = s[1:-1]
-    for sep in ("..", ":", ","):
-        if sep in s:
-            a, b = s.split(sep, 1)
-            try:
-                lo, hi = int(a), int(b)
-            except ValueError:
-                raise ConfigError("range %r has non-integer endpoints" % text)
-            if lo > hi:
-                raise ConfigError("range %r has lo > hi" % text)
-            return (lo, hi)
-    raise ConfigError("cannot parse range %r (use lo..hi)" % text)
-
-
-def _parse_window(text):
-    """Either one range for every variable or 'var=lo..hi,var=lo..hi'."""
-    s = text.strip()
-    if "=" not in s:
-        return _parse_range(s)
-    win = {}
-    for piece in s.split(";" if ";" in s else ","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "=" not in piece:
-            raise ConfigError("window piece %r lacks var=lo..hi" % piece)
-        var, rng = piece.split("=", 1)
-        win[var.strip()] = _parse_range(rng)
-    return win
-
-
 @dataclass
 class CliConfig:
-    """Knobs shared by computations and verification suites."""
+    """The CLI's own settings."""
 
     degree_budget: int = 14
-    mode_range: tuple = (-3, 3)
-    charge_range: tuple = (-3, 3)
-    window: object = (-3, 3)
     jobs: int = 1
     format: str = "text"
 
@@ -69,30 +33,11 @@ class CliConfig:
             raise ConfigError("jobs must be >= 1")
         if self.format not in ("text", "json"):
             raise ConfigError("format must be 'text' or 'json'")
-        for name in ("mode_range", "charge_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ConfigError("%s has lo > hi" % name)
         return self
-
-    def to_obj(self):
-        """JSON-ready snapshot (window dicts keep insertion order)."""
-        win = self.window
-        win_obj = (list(win) if isinstance(win, tuple)
-                   else {k: list(v) for k, v in win.items()})
-        return {"degree_budget": self.degree_budget,
-                "mode_range": list(self.mode_range),
-                "charge_range": list(self.charge_range),
-                "window": win_obj,
-                "jobs": self.jobs,
-                "format": self.format}
 
 
 _PARSERS = {
     "degree_budget": int,
-    "mode_range": _parse_range,
-    "charge_range": _parse_range,
-    "window": _parse_window,
     "jobs": int,
     "format": lambda s: s.strip(),
 }
@@ -113,9 +58,7 @@ def parse_config_text(text, base=None):
             raise ConfigError("line %d: unknown key %r" % (lineno, raw_key))
         try:
             setattr(cfg, key, _PARSERS[key](val))
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ConfigError("line %d: bad value for %s: %s"
                               % (lineno, key, exc))
     return cfg.validate()

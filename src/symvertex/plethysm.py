@@ -130,29 +130,6 @@ class SeriesSpec:
                                    "%s of %r" % (self.family, self.shape))
 
 
-def series_perp_apply(spec, f):
-    """Graded components of applying the adjoint of a series to f:
-    returns {r: SymFunc} over the grades with nonzero value.
-
-    A constant shape in the M family acts as a nonzero scalar in every
-    grade, so its graded support is infinite and this raises instead.
-    """
-    d = spec.shape.degree()
-    if d == 0:
-        if spec.family == "M" and spec.shape:
-            raise ValueError("row series of a constant shape has no finite "
-                             "graded expansion; use a windowed factor chain")
-        rmax = 1
-    else:
-        rmax = f.degree() // d
-    out = {}
-    for r in range(rmax + 1):
-        val = f.skew_by(spec.term(r))
-        if val:
-            out[r] = val
-    return out
-
-
 # #### deformed Schur functions and branching ####
 
 def _require_nonempty(pi):

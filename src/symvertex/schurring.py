@@ -158,56 +158,14 @@ def pieri_row_down(lam, k):
 
 
 def pieri_col(lam, k):
-    """Partitions obtained from lam by adding a vertical strip of size k
-    (at most one box per row)."""
-    n = len(lam)
-    out = []
-
-    def rec(i, rem, prefix, prev):
-        if rem == 0:
-            tail = list(lam[i:])
-            out.append(partition(prefix + tail))
-            return
-        if i >= n + k:
-            return
-        base = lam[i] if i < n else 0
-        if base == 0 and not prefix and i > 0:
-            return
-        # leave the row as is
-        if i < n:
-            rec(i + 1, rem, prefix + [base], base)
-        # add one box
-        if base + 1 <= prev:
-            rec(i + 1, rem - 1, prefix + [base + 1], base + 1)
-
-    if k == 0:
-        return [partition(lam)]
-    rec(0, k, [], k + (lam[0] if n else 0) + 1)
-    return out
+    """Partitions obtained from lam by adding a vertical strip of size k:
+    the conjugates of adding a horizontal strip to the conjugate."""
+    return [conjugate(nu) for nu in pieri_row(conjugate(lam), k)]
 
 
 def pieri_col_down(lam, k):
     """Partitions obtained from lam by removing a vertical strip of size k."""
-    n = len(lam)
-    out = []
-
-    def rec(i, rem, prefix, prev):
-        if rem < 0:
-            return
-        if i == n:
-            if rem == 0:
-                out.append(partition(prefix))
-            return
-        for d in (0, 1):
-            v = lam[i] - d
-            if v < 0 or v > prev:
-                continue
-            rec(i + 1, rem - d, prefix + [v], v)
-
-    if k == 0:
-        return [partition(lam)]
-    rec(0, k, [], lam[0] if n else 0)
-    return out
+    return [conjugate(nu) for nu in pieri_row_down(conjugate(lam), k)]
 
 
 def _is_column(p):

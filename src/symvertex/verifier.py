@@ -2,7 +2,8 @@
 
 Each suite enumerates a deterministic case list, evaluates every case with
 exact arithmetic in enumeration order, and returns a VerificationReport.
-Suites run serially: `jobs` is accepted for existing callers and configs
+Each suite's defaults live in its signature alone; callers override them
+by keyword.  Suites run serially: `jobs` is accepted for existing callers
 but ignored, since threads only slowed this GIL-bound work.  Every suite
 takes perturb=True, which wires in one deliberate mutation that must
 produce failures — a guard against vacuous passes.
@@ -12,7 +13,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import CliConfig
 from .jsonform import laurent_to_obj, state_to_obj, symfunc_to_obj
 from .oracle import oracle_dual_pi_schur, oracle_pi_schur
 from .partitions import (conjugate, format_partition, hooks_inside, partition,
@@ -129,11 +129,10 @@ def _reordering_sides(case, pi, perturb=False):
     return lhs, FactorChain(vs, rfacts)
 
 
-def verify_reordering(config=None, cases=REORDERING_CASES, pis=None,
-                      window=(0, 4), test_degree=5, perturb=False, jobs=None):
+def verify_reordering(cases=REORDERING_CASES, pis=None, window=(0, 4),
+                      test_degree=5, perturb=False, jobs=None):
     """Coefficientwise equality of the four adjoint/multiplication
     reorderings on every Schur input up to test_degree."""
-    config = (config or CliConfig()).validate()
     pis = _default_pis() if pis is None else [partition(p) for p in pis]
     lams = partitions_up_to(test_degree)
     win = {"z": tuple(window), "w": tuple(window)}
@@ -212,12 +211,10 @@ def _form_obj(nf):
             "shift": nf.shift}
 
 
-def verify_zero_modes(config=None, charge_range=None, perturb=False,
-                      jobs=None):
+def verify_zero_modes(charge_range=(-3, 3), perturb=False, jobs=None):
     """The four ordered forms of products of charge-shift words, checked
     symbolically and on every concrete charge in the range."""
-    config = (config or CliConfig()).validate()
-    lo, hi = charge_range or config.charge_range
+    lo, hi = charge_range
     keys = []
     for name, _, _ in ZERO_MODE_IDENTITIES:
         keys.append((name, "form"))
@@ -265,14 +262,13 @@ _CLIFFORD_RELATIONS = {"create-create": ("X", "X"),
                        "mixed": ("X", "Xstar")}
 
 
-def verify_clifford(config=None, pis=DEFAULT_CLIFFORD_PIS, mode_range=None,
+def verify_clifford(pis=DEFAULT_CLIFFORD_PIS, mode_range=(-3, 3),
                     degree_bound=5, charges=(-1, 0, 1), perturb=False,
                     jobs=None):
     """Anticommutators of the mode families: like kinds vanish, mixed kinds
     give the identity exactly when the mode indices cancel."""
-    config = (config or CliConfig()).validate()
     pis = [partition(p) for p in pis]
-    lo, hi = mode_range or config.mode_range
+    lo, hi = mode_range
     lams = partitions_up_to(degree_bound)
     keys = []
     for pi in pis:
@@ -307,17 +303,13 @@ def verify_clifford(config=None, pis=DEFAULT_CLIFFORD_PIS, mode_range=None,
 
 # #### suite: multivertex ####
 
-def verify_multivertex(config=None, pis=((2,), (2, 1)), ms=(2, 3),
-                       duals=(False, True), inputs=None, window=None,
-                       perturb=False, jobs=None):
+def verify_multivertex(pis=((2,), (2, 1)), ms=(2, 3), duals=(False, True),
+                       inputs=None, window=(-3, 3), perturb=False, jobs=None):
     """Sequential strings of like vertex operators against their
     normal-ordered form, coefficientwise on a window."""
-    config = (config or CliConfig()).validate()
     pis = [partition(p) for p in pis]
     if inputs is None:
         inputs = (("1", SymFunc.one()), ("s[1]", SymFunc.schur((1,))))
-    if window is None:
-        window = config.window if isinstance(config.window, tuple) else (-3, 3)
     keys = [(pi, m, dual, label)
             for pi in pis for m in ms for dual in duals
             for label, _ in inputs]
@@ -352,14 +344,13 @@ _ROUTE_CHECKS = ("routes", "dual-routes", "conjugate-pairing",
                  "branch-roundtrip")
 
 
-def verify_route_agreement(config=None, pis=None, max_weight=6, max_length=3,
+def verify_route_agreement(pis=None, max_weight=6, max_length=3,
                            include_oracle=True, include_vertex=True,
                            perturb=False, jobs=None):
     """All independent constructions of the deformed Schur functions agree:
     adjoint series, coefficient-extraction, vertex strings, and the literal
     monomial oracle; plus the conjugate pairing between the two families and
     the branching round trip."""
-    config = (config or CliConfig()).validate()
     pis = _default_pis() if pis is None else [partition(p) for p in pis]
     lams = partitions_up_to(max_weight, max_length=max_length)
     keys = [(pi, lam, check) for pi in pis for lam in lams
@@ -440,13 +431,12 @@ def _series_power_terms(shape, rmax):
     return row, col
 
 
-def verify_inverse_series(config=None, max_sigma_weight=3, max_zweight=12,
-                          hook_pis=None, perturb=False, jobs=None):
+def verify_inverse_series(max_sigma_weight=3, max_zweight=12, hook_pis=None,
+                          perturb=False, jobs=None):
     """The row and signed-column series of any shape are mutually inverse:
     plain shapes up to max_sigma_weight, and the hook-indexed skew shapes
     paired on the diagonal of the mixed two-vertex product, with the formal
     weight of each pair capped at max_zweight."""
-    config = (config or CliConfig()).validate()
     sigmas = [p for w in range(0, max_sigma_weight + 1)
               for p in partitions_of(w)]
     hook_pis = (_default_pis() if hook_pis is None

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from symvertex.cli import VERIFY_FLAGS, main
-from symvertex.config import ENV_CONFIG
+from symvertex.cli import VERIFY_FLAGS, build_parser, main
+from symvertex.config import _PARSERS, ENV_CONFIG
 from symvertex.jsonform import dumps, parse_symfunc, state_to_obj, \
     symfunc_to_obj
 from symvertex.plethysm import pi_schur, plethysm
@@ -320,8 +320,19 @@ class TestVerifyFlagTable:
                 reachable[suite].add(keyword)
         for suite, fn in SUITES.items():
             params = set(inspect.signature(fn).parameters)
-            assert params - {"config", "perturb", "jobs", "inputs"} \
+            assert params - {"perturb", "jobs", "inputs"} \
                 == reachable[suite], suite
+
+
+class TestConfigKeysAreFlags:
+    def test_every_config_key_is_a_common_flag(self):
+        subparsers = next(a for a in build_parser()._actions
+                          if a.dest == "command")
+        for name, sub in subparsers.choices.items():
+            flags = sub._option_string_actions
+            for key in _PARSERS:
+                flag = "--" + key.replace("_", "-")
+                assert flag in flags and flags[flag].dest == key, (name, key)
 
 
 class TestExitCodes:
@@ -431,12 +442,16 @@ class TestConfigPlumbing:
         json.loads(out)
 
     def test_unknown_config_key(self, capsys, tmp_path):
+        # suite ranges are flags only: their old config keys are unknown
         cfg = tmp_path / "sv.conf"
-        cfg.write_text("bogus-key = 3\n")
-        code, _, err = run(capsys, "pi-schur", "--pi", "[1]",
-                           "--lambda", "[1]", "--config", str(cfg))
-        assert code == 2
-        assert "--config" in err and "bogus-key" in err
+        for key, value in (("bogus-key", "3"), ("mode_range", "-1..1"),
+                           ("charge-range", "0..0"), ("window", "-1..1")):
+            cfg.write_text("%s = %s\n" % (key, value))
+            code, _, err = run(capsys, "pi-schur", "--pi", "[1]",
+                               "--lambda", "[1]", "--config", str(cfg))
+            assert code == 2
+            assert err == ("symvertex: error: --config: line 1: unknown key "
+                           "%r\n" % key)
 
     def test_config_budget_respected(self, capsys, tmp_path):
         cfg = tmp_path / "sv.conf"

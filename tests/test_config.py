@@ -1,43 +1,53 @@
+from argparse import ArgumentTypeError
+
 import pytest
 
-from symvertex.config import (ENV_CONFIG, CliConfig, ConfigError,
-                              _parse_range, _parse_window, load_config,
+from symvertex.cli import _t_range
+from symvertex.config import (ENV_CONFIG, CliConfig, ConfigError, load_config,
                               parse_config_text)
 
 
 class TestRangeParsing:
+    """Range values of --window, --mode-range and --charge-range; a config
+    file takes no ranges."""
+
     def test_dotted(self):
-        assert _parse_range("-3..3") == (-3, 3)
+        assert _t_range("-3..3") == (-3, 3)
 
     def test_colon(self):
-        assert _parse_range("0:4") == (0, 4)
+        assert _t_range("0:4") == (0, 4)
 
     def test_bracketed(self):
-        assert _parse_range("[2,5]") == (2, 5)
+        assert _t_range("[2,5]") == (2, 5)
 
     def test_rejects_backwards(self):
-        with pytest.raises(ConfigError):
-            _parse_range("4..1")
+        with pytest.raises(ArgumentTypeError,
+                           match=r"^range '4\.\.1' has lo > hi$"):
+            _t_range("4..1")
 
     def test_rejects_garbage(self):
-        with pytest.raises(ConfigError):
-            _parse_range("x..y")
+        with pytest.raises(ArgumentTypeError, match=r"^range 'x\.\.y' has "
+                                                    r"non-integer endpoints$"):
+            _t_range("x..y")
 
     def test_window_single_range(self):
-        assert _parse_window("-2..2") == (-2, 2)
+        assert _t_range("-2..2") == (-2, 2)
 
     def test_window_per_variable(self):
-        assert _parse_window("z=0..3,w=-1..1") == \
-            {"z": (0, 3), "w": (-1, 1)}
+        # the per-variable form 'var=lo..hi,...' is not a range
+        with pytest.raises(ArgumentTypeError, match="non-integer endpoints"):
+            _t_range("z=0..3,w=-1..1")
+
+    def test_rejects_missing_separator(self):
+        with pytest.raises(ArgumentTypeError,
+                           match=r"^cannot parse range '7' \(use lo\.\.hi\)$"):
+            _t_range("7")
 
 
 class TestDefaults:
     def test_default_values(self):
         cfg = CliConfig()
         assert cfg.degree_budget == 14
-        assert cfg.mode_range == (-3, 3)
-        assert cfg.charge_range == (-3, 3)
-        assert cfg.window == (-3, 3)
         assert cfg.jobs == 1
         assert cfg.format == "text"
 
@@ -54,11 +64,6 @@ class TestDefaults:
         with pytest.raises(ConfigError):
             CliConfig(format="xml").validate()
 
-    def test_to_obj_is_stable(self):
-        obj = CliConfig().to_obj()
-        assert obj["degree_budget"] == 14
-        assert obj["mode_range"] == [-3, 3]
-
 
 class TestFileParsing:
     def test_basic(self):
@@ -66,9 +71,9 @@ class TestFileParsing:
         assert cfg.degree_budget == 9 and cfg.jobs == 4
 
     def test_hyphenated_keys_and_comments(self):
-        cfg = parse_config_text("# comment\nmode-range = -2..2\n\n"
+        cfg = parse_config_text("# comment\ndegree-budget = 9\n\n"
                                 "format = json  # trailing\n")
-        assert cfg.mode_range == (-2, 2)
+        assert cfg.degree_budget == 9
         assert cfg.format == "json"
 
     def test_unknown_key_names_line(self):

@@ -7,8 +7,7 @@ from symvertex.partitions import (conjugate, partitions_of, partitions_up_to,
 from symvertex.plethysm import (DegreeBudgetError, SeriesSpec,
                                 cauchy_dual_pi_schur, cauchy_pi_schur,
                                 dual_pi_schur, pi_branch, pi_schur,
-                                pi_unbranch, plethysm, series_perp_apply,
-                                series_term)
+                                pi_unbranch, plethysm, series_term)
 from symvertex.schurring import SymFunc
 
 S = SymFunc.schur
@@ -102,23 +101,6 @@ class TestSeriesTerm:
                 del first.c[key]
         assert first + S((1,)) - S((1,)) == first
         assert dict(series_term("L", S((2, 1)), 2).c) == want
-
-
-class TestSeriesPerpApply:
-    def test_column_series_on_matching_row(self):
-        spec = SeriesSpec.plain("L", (2,))
-        got = series_perp_apply(spec, S((2,)))
-        assert got == {0: S((2,)), 1: -SymFunc.one()}
-
-    @given(nonempty_partitions)
-    def test_degree_zero_input(self, pi):
-        spec = SeriesSpec.plain("L", pi)
-        assert series_perp_apply(spec, SymFunc.one()) == {0: SymFunc.one()}
-
-    def test_row_series_on_longer_row(self):
-        spec = SeriesSpec.plain("M", (3,))
-        got = series_perp_apply(spec, S((4,)))
-        assert got == {0: S((4,)), 1: S((1,))}
 
 
 class TestPiSchur:

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from symvertex.config import CliConfig
 from symvertex.jsonform import laurent_to_obj
 from symvertex.partitions import parse_partition
 from symvertex.schurring import SymFunc
@@ -115,11 +114,6 @@ class TestDeterminism:
         rep1 = verify_clifford(jobs=1, perturb=True, **SMALL["clifford"])
         rep4 = verify_clifford(jobs=4, perturb=True, **SMALL["clifford"])
         assert rep1.failures == rep4.failures
-
-    def test_config_jobs_used_when_not_passed(self):
-        cfg = CliConfig(jobs=2)
-        rep = verify_zero_modes(config=cfg, **SMALL["zero-modes"])
-        assert rep.passed()
 
 
 class TestFailureReplay:
