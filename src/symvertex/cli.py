@@ -437,8 +437,9 @@ def build_parser():
     return p
 
 
-_DASH_VALUE_FLAGS = ("--mode-range", "--charge-range", "--charges",
-                     "--window")
+# the verify flags whose values may start with "-": the ranges and lists
+_DASH_VALUE_FLAGS = tuple(flag for flag, (options, _) in VERIFY_FLAGS.items()
+                          if options.get("type") in (_t_range, _t_int_list))
 
 
 def _merge_dash_values(argv):

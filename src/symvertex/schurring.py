@@ -306,7 +306,8 @@ def multi_lr(target, sizes, columns=False):
 # #### linear combinations: the SymFunc and PowerExpr types ####
 
 def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
+    # the type test first: isinstance(int, Fraction) is a slow ABC check
+    if type(c) is not int and isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
 

@@ -12,14 +12,16 @@ produce failures — a guard against vacuous passes.
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial, lcm
 
 from .jsonform import laurent_to_obj, state_to_obj, symfunc_to_obj
 from .oracle import oracle_dual_pi_schur, oracle_pi_schur
 from .partitions import (conjugate, format_partition, hooks_inside, partition,
                          partitions_of, partitions_up_to, weight)
 from .plethysm import (cauchy_dual_pi_schur, cauchy_pi_schur, dual_pi_schur,
-                       pi_branch, pi_schur, pi_unbranch, power_substitute)
-from .schurring import PowerExpr, SymFunc, to_power
+                       pi_branch, pi_schur, pi_unbranch, power_substitute,
+                       series_term)
+from .schurring import PowerExpr, SymFunc, _norm_coeff, to_power
 from .vertexops import (ChargedState, FactorChain, LaurentMap, NormalProduct,
                         annihilation_zero_word, anticommutator, apply_chain,
                         creation_zero_word, make_factor,
@@ -413,22 +415,43 @@ def verify_route_agreement(pis=None, max_weight=6, max_length=3,
 # #### suite: inverse series ####
 
 def _series_power_terms(shape, rmax):
-    """(row_terms, col_terms): power-basis expansions of the degree-r terms
-    of the row series and the signed column series of the shape, r <= rmax,
-    via the Newton recurrences seeded with q_k = p_k plethysm of the shape."""
+    """(row, col, den): the degree-r terms of the row series and of the
+    signed column series of the shape, r <= rmax, in the power-sum basis
+    and scaled to integers.  den is the LCM of the denominators of
+    to_power(shape), and
+
+        row[r] = r! den^r h_r[shape],   col[r] = r! den^r (-1)^r e_r[shape].
+
+    The Newton recurrence h_r = (1/r) sum_k p_k[shape] h_{r-k} becomes, with
+    the integral Q_k = p_k[den*shape] (power_substitute of the scaled
+    shape),
+
+        row[r] = sum_{k=1..r} (r-1)!/(r-k)! den^(k-1) Q_k row[r-k],
+
+    and col[r] is the same sum over col with the sign flipped."""
     gp = to_power(shape)
-    qs = [None] + [power_substitute(k, gp) for k in range(1, rmax + 1)]
+    den = lcm(*(a.denominator for a in gp.c.values()))
+    gq = gp.scale(den)
+    qs = [None] + [power_substitute(k, gq) for k in range(1, rmax + 1)]
     row = [PowerExpr.one()]
     col = [PowerExpr.one()]
     for r in range(1, rmax + 1):
         acc_row = PowerExpr()
         acc_col = PowerExpr()
         for k in range(1, r + 1):
-            acc_row = acc_row + qs[k] * row[r - k]
-            acc_col = acc_col + qs[k] * col[r - k]
-        row.append(acc_row.scale(Fraction(1, r)))
-        col.append(acc_col.scale(Fraction(-1, r)))
-    return row, col
+            q = qs[k].scale(factorial(r - 1) // factorial(r - k)
+                            * den ** (k - 1))
+            acc_row = acc_row + q * row[r - k]
+            acc_col = acc_col + q * col[r - k]
+        row.append(acc_row)
+        col.append(-acc_col)
+    return row, col, den
+
+
+def _power_obj(expr, scale):
+    """A failure record's view of expr/scale: {"rho": "coefficient"}."""
+    return {",".join(map(str, rho)): str(_norm_coeff(Fraction(cv) / scale))
+            for rho, cv in expr.terms()}
 
 
 def verify_inverse_series(max_sigma_weight=3, max_zweight=12, hook_pis=None,
@@ -436,7 +459,11 @@ def verify_inverse_series(max_sigma_weight=3, max_zweight=12, hook_pis=None,
     """The row and signed-column series of any shape are mutually inverse:
     plain shapes up to max_sigma_weight, and the hook-indexed skew shapes
     paired on the diagonal of the mixed two-vertex product, with the formal
-    weight of each pair capped at max_zweight."""
+    weight of each pair capped at max_zweight.  The check runs on the
+    integer-scaled Newton terms of _series_power_terms: sum_a M_a L_{r-a}
+    = 0 times r! den^r is sum_a C(r,a) row[a] col[r-a] = 0.  On the plain
+    shapes every Newton term is also checked against plethysm.series_term,
+    the kernel's own series."""
     sigmas = [p for w in range(0, max_sigma_weight + 1)
               for p in partitions_of(w)]
     hook_pis = (_default_pis() if hook_pis is None
@@ -444,7 +471,7 @@ def verify_inverse_series(max_sigma_weight=3, max_zweight=12, hook_pis=None,
     keys = []
     shapes = {}
 
-    def add_shape(tag, shape, grade):
+    def add_shape(shape, grade):
         skey = tuple(sorted(shape.c.items()))
         rmax = max_zweight // grade
         prev = shapes.get(skey)
@@ -454,7 +481,7 @@ def verify_inverse_series(max_sigma_weight=3, max_zweight=12, hook_pis=None,
 
     for sigma in sigmas:
         grade = max(weight(sigma), 1)
-        skey, rmax = add_shape("series", SymFunc.schur(sigma), grade)
+        skey, rmax = add_shape(SymFunc.schur(sigma), grade)
         keys.extend(("series", format_partition(sigma), skey, r)
                     for r in range(1, rmax + 1))
     for pi in hook_pis:
@@ -463,7 +490,7 @@ def verify_inverse_series(max_sigma_weight=3, max_zweight=12, hook_pis=None,
             if not shape:
                 continue
             grade = weight(hook)
-            skey, rmax = add_shape("hooks", shape, grade)
+            skey, rmax = add_shape(shape, grade)
             keys.extend(("hooks",
                          "%s/%s" % (format_partition(pi),
                                     format_partition(hook)), skey, r)
@@ -474,24 +501,33 @@ def verify_inverse_series(max_sigma_weight=3, max_zweight=12, hook_pis=None,
         if cached is None:
             cached = _series_power_terms(shape, rmax)
             shapes[skey] = (shape, rmax, cached)
-        return cached
+        return shape, cached
 
     def case_fn(key):
         tag, label, skey, r = key
-        row, col = get_terms(skey)
+        shape, (row, col, den) = get_terms(skey)
+        scale = factorial(r) * den ** r
+        inputs = {"part": tag, "shape": label, "r": r}
+        if tag == "series":
+            for family, newton in (("M", row[r]), ("L", col[r])):
+                diff = (to_power(series_term(family, shape, r)).scale(scale)
+                        - newton)
+                if diff:
+                    # lhs: series_term less the Newton term
+                    return {"inputs": dict(inputs, family=family),
+                            "lhs": _power_obj(diff, scale), "rhs": {}}
         total = PowerExpr()
         for a in range(r + 1):
-            b = col[r - a]
+            x, y, c = row[a], col[r - a], comb(r, a)
             if perturb:
                 # deliberately strip the sign off the column terms
-                b = b.scale((-1) ** (r - a))
-            total = total + row[a] * b
+                c *= (-1) ** (r - a)
+            # the binomial scales the smaller factor: a scale costs its size
+            total = total + (x.scale(c) * y if len(x.c) <= len(y.c)
+                             else x * y.scale(c))
         if not total:
             return None
-        bad = {",".join(map(str, rho)): str(cv)
-               for rho, cv in total.terms()}
-        return {"inputs": {"part": tag, "shape": label, "r": r},
-                "lhs": bad, "rhs": {}}
+        return {"inputs": inputs, "lhs": _power_obj(total, scale), "rhs": {}}
 
     cfg = {"max_sigma_weight": max_sigma_weight, "max_zweight": max_zweight,
            "hook_pis": [format_partition(p) for p in hook_pis],

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from symvertex.cli import VERIFY_FLAGS, build_parser, main
+from symvertex.cli import (VERIFY_FLAGS, _merge_dash_values, _t_int_list,
+                           _t_range, build_parser, main)
 from symvertex.config import _PARSERS, ENV_CONFIG
 from symvertex.jsonform import dumps, parse_symfunc, state_to_obj, \
     symfunc_to_obj
@@ -38,6 +39,9 @@ MALFORMED_VERIFY_FLAGS = [
     ("inverse-series", "--max-zweight", "-1"),
     ("clifford", "--charges", ","),
 ]
+
+# a dash-leading value of each range or list type, and what it parses to
+DASH_VALUES = {_t_range: ("-2..2", (-2, 2)), _t_int_list: ("-1,0", (-1, 0))}
 
 # every malformed command line of this file, rejected while parsing or
 # while running
@@ -322,6 +326,16 @@ class TestVerifyFlagTable:
             params = set(inspect.signature(fn).parameters)
             assert params - {"perturb", "jobs", "inputs"} \
                 == reachable[suite], suite
+
+    @pytest.mark.parametrize("flag", [
+        f for f, (options, _) in VERIFY_FLAGS.items()
+        if options.get("type") in DASH_VALUES])
+    def test_range_and_list_flags_take_dash_values(self, flag):
+        options, keywords = VERIFY_FLAGS[flag]
+        text, want = DASH_VALUES[options["type"]]
+        argv = ["verify", next(iter(keywords)), flag, text]
+        args = build_parser().parse_args(_merge_dash_values(argv))
+        assert getattr(args, flag[2:].replace("-", "_")) == want
 
 
 class TestConfigKeysAreFlags:

@@ -2,14 +2,20 @@
 report plumbing, and replayability of recorded failures."""
 
 import json
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from symvertex import verifier
 from symvertex.jsonform import laurent_to_obj
-from symvertex.partitions import parse_partition
-from symvertex.schurring import SymFunc
+from symvertex.partitions import (format_partition, hooks_inside,
+                                  parse_partition, partitions_of)
+from symvertex.plethysm import plethysm, power_substitute, series_term
+from symvertex.schurring import PowerExpr, SymFunc, to_power
 from symvertex.verifier import (SUITES, VerificationReport, _laurent_diff,
-                                _reordering_sides, verify_clifford,
+                                _reordering_sides, _series_power_terms,
+                                verify_clifford,
                                 verify_inverse_series, verify_multivertex,
                                 verify_reordering, verify_route_agreement,
                                 verify_zero_modes)
@@ -182,3 +188,122 @@ class TestSuiteSpecifics:
                                     hook_pis=[(1,)])
         assert rep.passed()
         assert rep.config["max_zweight"] == 4
+
+
+def fraction_series_terms(shape, rmax):
+    """Reference for verifier._series_power_terms: the Newton recurrences
+    h_r = (1/r) sum_k p_k[g] h_{r-k} and the signed column twin, run in
+    Fractions with no scaling, as the suite ran them before it moved to
+    integers."""
+    gp = to_power(shape)
+    qs = [None] + [power_substitute(k, gp) for k in range(1, rmax + 1)]
+    row = [PowerExpr.one()]
+    col = [PowerExpr.one()]
+    for r in range(1, rmax + 1):
+        acc_row = PowerExpr()
+        acc_col = PowerExpr()
+        for k in range(1, r + 1):
+            acc_row = acc_row + qs[k] * row[r - k]
+            acc_col = acc_col + qs[k] * col[r - k]
+        row.append(acc_row.scale(Fraction(1, r)))
+        col.append(acc_col.scale(Fraction(-1, r)))
+    return row, col
+
+
+def default_suite_shapes():
+    """{label: shape} of every shape verify_inverse_series builds at its
+    defaults: kernel shapes to weight 3, hook skews of shapes to weight 4."""
+    shapes = {format_partition(s): SymFunc.schur(s)
+              for w in range(4) for s in partitions_of(w)}
+    for pi in [p for w in range(1, 5) for p in partitions_of(w)]:
+        for hook in hooks_inside(pi):
+            shape = SymFunc.schur(pi).skew_by(hook)
+            if shape:
+                shapes["%s/%s" % (format_partition(pi),
+                                  format_partition(hook))] = shape
+    return shapes
+
+
+def assert_scaled_terms_match(shape, rmax):
+    row, col, den = _series_power_terms(shape, rmax)
+    ref_row, ref_col = fraction_series_terms(shape, rmax)
+    assert len(row) == len(col) == rmax + 1
+    for r in range(rmax + 1):
+        scale = factorial(r) * den ** r
+        for term in row[r], col[r]:
+            assert all(type(v) is int for v in term.c.values())
+        assert row[r].scale(Fraction(1, scale)) == ref_row[r], r
+        assert col[r].scale(Fraction(1, scale)) == ref_col[r], r
+
+
+class TestIntegerSeriesTerms:
+    """The integer-scaled Newton terms of the inverse-series suite against
+    the Fraction recurrence it replaced."""
+
+    @pytest.mark.parametrize("label, shape",
+                             sorted(default_suite_shapes().items()))
+    def test_every_default_shape_to_degree_4(self, label, shape):
+        assert_scaled_terms_match(shape, 4)
+
+    @pytest.mark.parametrize("shape, rmax", [
+        (SymFunc.one(), 12), (SymFunc.schur((1,)), 12),
+        (SymFunc.schur((2, 1)), 4),
+        # the hook skew [3]/[1] = s[2], paired at the hook's weight 1
+        (SymFunc.schur((3,)).skew_by((1,)), 12)])
+    def test_full_range(self, shape, rmax):
+        assert_scaled_terms_match(shape, rmax)
+
+    def test_perturbed_records_match_reference(self):
+        """Every failure record of a small perturbed run, lhs strings
+        included, as the Fraction recurrence computes it."""
+        cases = [("series", "[]", SymFunc.one(), 3),
+                 ("series", "[1]", SymFunc.schur((1,)), 3),
+                 ("hooks", "[2]/[2]", SymFunc.one(), 1),
+                 ("hooks", "[2]/[1]", SymFunc.schur((1,)), 3)]
+        want = []
+        for part, label, shape, rmax in cases:
+            row, col = fraction_series_terms(shape, rmax)
+            for r in range(1, rmax + 1):
+                total = sum((row[a] * col[r - a].scale((-1) ** (r - a))
+                             for a in range(r + 1)), PowerExpr())
+                if total:
+                    want.append({
+                        "inputs": {"part": part, "shape": label, "r": r},
+                        "lhs": {",".join(map(str, rho)): str(cv)
+                                for rho, cv in total.terms()},
+                        "rhs": {}})
+        rep = verify_inverse_series(max_sigma_weight=1, max_zweight=3,
+                                    hook_pis=[(2,)], perturb=True)
+        assert rep.cases_run == 10
+        assert want and rep.failures == want
+
+
+class TestSeriesTermFault:
+    # a sign error in each branch of series_term, computed past the memo
+    PLANTS = {
+        "L": lambda shape, r: plethysm((1,) * r, shape,
+                                       budget=None).scale((-1) ** (r + 1)),
+        "M": lambda shape, r: plethysm((r,), shape,
+                                       budget=None).scale(-1),
+    }
+
+    # kernel shapes [], [1] to r = 6 and [2], [1,1] to r = 3; the column
+    # terms e_r[1] of the empty shape vanish at r >= 2 and cannot fail
+    @pytest.mark.parametrize("family, failures",
+                             [("L", 6 + 6 + 3 + 3 - 5), ("M", 6 + 6 + 3 + 3)])
+    def test_planted_sign_error_fails_the_suite(self, monkeypatch, family,
+                                                failures):
+        """The plant, put where the suite looks series_term up, fails every
+        plain-shape case whose planted term is nonzero, and nothing
+        else."""
+        def planted(fam, shape, r):
+            if fam == family:
+                return self.PLANTS[fam](shape, r)
+            return series_term(fam, shape, r)
+
+        monkeypatch.setattr(verifier, "series_term", planted)
+        rep = verify_inverse_series(max_sigma_weight=2, max_zweight=6)
+        assert len(rep.failures) == failures
+        for rec in rep.failures:
+            assert rec["inputs"]["part"] == "series"
+            assert rec["inputs"]["family"] == family
