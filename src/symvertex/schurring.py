@@ -275,34 +275,6 @@ def skew_schur_pair(mu, lam):
     return res
 
 
-def lr_coefficient(lam, mu, nu):
-    """Littlewood-Richardson coefficient: multiplicity of lam in mu * nu."""
-    return product_schur_pair(mu, nu).get(lam, 0)
-
-
-def multi_lr(target, sizes, columns=False):
-    """Multiplicity of the Schur function `target` in a product of complete
-    homogeneous (row mode) or elementary (column mode) pieces of the given
-    sizes.  Row mode iterates the horizontal-strip rule, column mode the
-    vertical-strip rule directly.
-    """
-    target = partition(target)
-    if sum(sizes) != sum(target):
-        return 0
-    state = {(): 1}
-    rule = pieri_col if columns else pieri_row
-    for k in sizes:
-        new = {}
-        for lam, c in state.items():
-            for nu in rule(lam, k):
-                if contains(target, nu):
-                    new[nu] = new.get(nu, 0) + c
-        state = new
-        if not state:
-            return 0
-    return state.get(target, 0)
-
-
 # #### linear combinations: the SymFunc and PowerExpr types ####
 
 def _norm_coeff(c):
@@ -422,20 +394,6 @@ class SymFunc(_LinComb):
     def coeff(self, lam):
         return self.c.get(partition(lam), 0)
 
-    def is_homogeneous(self):
-        return len({sum(lam) for lam in self.c}) <= 1
-
-    def graded(self):
-        """Split into homogeneous components: {weight: SymFunc}."""
-        parts = {}
-        for lam, c in self.c.items():
-            parts.setdefault(sum(lam), {})[lam] = c
-        return {d: SymFunc._new(v) for d, v in sorted(parts.items())}
-
-    def homogeneous_part(self, d):
-        return SymFunc._new({lam: c for lam, c in self.c.items()
-                             if sum(lam) == d})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -518,17 +476,6 @@ class PowerExpr(_LinComb):
         for rho, c in self.terms():
             bits.append("%s*p[%s]" % (c, ",".join(str(x) for x in rho)))
         return "PowerExpr(%s)" % " + ".join(bits)
-
-
-def power_inner(a, b):
-    """Hall inner product in the power-sum basis: classes are orthogonal
-    with norm the centralizer order."""
-    tot = 0
-    for rho, x in a.c.items():
-        y = b.c.get(rho)
-        if y:
-            tot += centralizer_order(rho) * x * y
-    return _norm_coeff(tot)
 
 
 def to_power(f):

@@ -19,12 +19,22 @@ is shifted by the charge of the sector they act on; annihilation modes
 lower it.  The zero-mode calculus at the bottom of the module normalizes
 words of charge shifts and charge-reading monomials symbolically and is
 what fixes those index conventions.
+
+Modes read one z-coefficient without running the chain.  Its first two
+factors are Bernstein's operator sum_n z^n B_n, B_n = sum_i (-1)^i
+h_(n+i) e_i-adj, where B_n s_mu = s_(n, mu) is straightened by Jacobi-Trudi
+(Macdonald I.5 Ex. 29); the dual pair is (-1)^n omega B_n omega.  On s_lam
+the z^j coefficient is sum_e B_(j-e) S_e, S_e the z^e coefficient of the
+other (skew) factors; a stage infinite in e is cut at e <= j + |lam|,
+exactly, since B_n s_mu = 0 for n < -len(mu).
 """
 
+import sys
 from dataclasses import dataclass
+from itertools import product
 from types import MappingProxyType
 
-from .partitions import partition, weight
+from .partitions import conjugate, partition, weight
 from .plethysm import series_term
 from .schurring import SymFunc, _LinComb, format_symfunc
 
@@ -442,21 +452,71 @@ def vertex_string(pi, lam, dual=False, max_vertices=DEFAULT_STRING_BOUND):
 # #### modes and anticommutators ####
 
 _mode_memo = {}
+_stage_memo = {}  # (pi, dual, lam) -> _skew_stage
+_plan_memo = {}   # (pi, dual, |lam|, j) -> plan, run only for its refusals
+
+
+def _straighten(n, mu):
+    """B_n s_mu = s_(n, mu) straightened by Jacobi-Trudi, as (sign, nu), or
+    None for 0.  The new row's beta-number n + l (l = len(mu)) passes the a
+    larger beta-numbers mu_i + l - i, whose rows lose a box each; row a
+    gets n + a boxes, and the sign is (-1)^a.  A collision or n + l < 0
+    gives 0."""
+    a = sum(x - i > n + 1 for i, x in enumerate(mu))
+    if n + a < 0 or mu[a:a + 1] == (n + a + 1,):
+        return None
+    nu = tuple(x - 1 for x in mu[:a]) + (n + a,) + mu[a:]
+    return (-1) ** a, tuple(x for x in nu if x)
+
+
+def _skew_stage(pi, dual, lam):
+    """build_vertex(pi, dual).factors[2:] applied to s_lam, as ({e: z^e
+    coefficient}, period); memoized.  The row series on 1, for a dual odd
+    column of height k, is sum_r z^(kr) times the identity, infinite in e:
+    it is left to the caller as period k.  Every other factor is bounded by
+    degree or by a finite series, so the window never cuts them."""
+    key = (pi, dual, lam)
+    if key not in _stage_memo:
+        chain = build_vertex(pi, dual=dual)
+        ones = [f for f in chain.factors[2:]
+                if f.family == "M" and f.shape == SymFunc.one()]
+        skews = [f for f in chain.factors[2:] if f not in ones]
+        period = ones[0].exps[0] if ones else 0
+        res = apply_chain(FactorChain(chain.vars, skews), SymFunc.schur(lam),
+                          (0, sys.maxsize))
+        _stage_memo[key] = {e: v for (e,), v in res.data.items()}, period
+    return _stage_memo[key]
 
 
 def _vertex_coefficient(pi, dual, j, lam):
     """Coefficient of z^j in (vertex operator of shape pi) applied to the
     Schur function of lam.  Memoized; modes act linearly over these.  The
-    result's coefficient map is a read-only view of the memo entry."""
+    result's coefficient map is a read-only view of the memo entry.
+
+    It is sum_e B_(j-e) S_e over the z^e coefficients S_e of _skew_stage,
+    each B_n s_mu one _straighten term (dual: (-1)^n omega B_n omega); a
+    periodic stage is cut at e <= j + |lam|: B_n s_mu = 0 for n < -len(mu).
+    The chain's plan runs once per (pi, dual, |lam|, j) for its refusals."""
     key = (pi, dual, j, lam)
     found = _mode_memo.get(key)
     if found is not None:
         return found
-    chain = build_vertex(pi, dual=dual)
-    res = apply_chain(chain, SymFunc.schur(lam), {"z": (j, j)})
-    val = res.get((j,))
-    if val is None:
-        val = SymFunc.zero()
+    d = weight(lam)
+    if (pi, dual, d, j) not in _plan_memo:
+        _plan_memo[pi, dual, d, j] = _termination_plan(
+            build_vertex(pi, dual=dual), d, {"z": (j, j)})
+    stage, period = _skew_stage(pi, dual, lam)
+    acc = {}
+    for e0, val in stage.items():
+        for e in range(e0, j + d + 1, period) if period else (e0,):
+            for mu, c in val.c.items():
+                t = _straighten(j - e, conjugate(mu) if dual else mu)
+                if t:
+                    sign, nu = t
+                    if dual:
+                        sign, nu = sign * (-1) ** (j - e), conjugate(nu)
+                    acc[nu] = acc.get(nu, 0) + sign * c
+    val = SymFunc._new(acc)
     val.c = MappingProxyType(val.c)
     _mode_memo[key] = val
     return val
@@ -559,13 +619,6 @@ def _skew_by_rows_cols(pi, rows, cols):
     return shape
 
 
-def _tuples(ranges):
-    out = [()]
-    for r in ranges:
-        out = [t + (x,) for t in out for x in range(r + 1)]
-    return out
-
-
 def normal_ordered_string(pi, m, dual=False, varnames=None):
     """Normal-ordered form of a product of m like vertex operators of
     shape pi: polynomial prefactors (1 - zi^-1 zj) for i < j, all
@@ -595,7 +648,7 @@ def normal_ordered_string(pi, m, dual=False, varnames=None):
         factors.append(make_factor("skew", "M" if dual else "L",
                                    s1, exps, varnames))
     top = (len(pi) if dual else (pi[0] if pi else 0))
-    for tup in _tuples([top] * nv):
+    for tup in product(range(top + 1), repeat=nv):
         if not any(tup):
             continue
         if dual:

@@ -73,8 +73,7 @@ class TestSeriesTerm:
         for sigma in ((1,), (2,), (2, 1)):
             for r in (1, 2, 3):
                 val = series_term("M", S(sigma), r)
-                assert val.is_homogeneous()
-                assert val.degree() == r * weight(sigma)
+                assert {weight(lam) for lam in val.c} == {r * weight(sigma)}
 
     def test_skew_shape_expands_first(self):
         spec = SeriesSpec.skew("M", (2, 1), (1,))
@@ -123,10 +122,10 @@ class TestPiSchur:
     @given(nonempty_partitions, small_partitions)
     def test_leading_term(self, pi, lam):
         val = pi_schur(pi, lam)
-        assert val.homogeneous_part(weight(lam)) == S(lam)
-        for d in range(weight(lam)):
-            if (weight(lam) - d) % weight(pi) != 0:
-                assert val.homogeneous_part(d) == SymFunc.zero()
+        assert {mu: c for mu, c in val.c.items()
+                if weight(mu) == weight(lam)} == {lam: 1}
+        assert all((weight(lam) - weight(mu)) % weight(pi) == 0
+                   for mu in val.c if weight(mu) < weight(lam))
 
 
 class TestBranch:
