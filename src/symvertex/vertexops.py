@@ -453,7 +453,7 @@ def vertex_string(pi, lam, dual=False, max_vertices=DEFAULT_STRING_BOUND):
 
 _mode_memo = {}
 _stage_memo = {}  # (pi, dual, lam) -> _skew_stage
-_plan_memo = {}   # (pi, dual, |lam|, j) -> plan, run only for its refusals
+_plan_checked = set()  # (pi, dual, |lam|, j) whose chain plan did not refuse
 
 
 def _straighten(n, mu):
@@ -502,9 +502,9 @@ def _vertex_coefficient(pi, dual, j, lam):
     if found is not None:
         return found
     d = weight(lam)
-    if (pi, dual, d, j) not in _plan_memo:
-        _plan_memo[pi, dual, d, j] = _termination_plan(
-            build_vertex(pi, dual=dual), d, {"z": (j, j)})
+    if (pi, dual, d, j) not in _plan_checked:
+        _termination_plan(build_vertex(pi, dual=dual), d, {"z": (j, j)})
+        _plan_checked.add((pi, dual, d, j))
     stage, period = _skew_stage(pi, dual, lam)
     acc = {}
     for e0, val in stage.items():
@@ -514,7 +514,7 @@ def _vertex_coefficient(pi, dual, j, lam):
                 if t:
                     sign, nu = t
                     if dual:
-                        sign, nu = sign * (-1) ** (j - e), conjugate(nu)
+                        sign, nu = sign * (-1) ** ((j - e) % 2), conjugate(nu)
                     acc[nu] = acc.get(nu, 0) + sign * c
     val = SymFunc._new(acc)
     val.c = MappingProxyType(val.c)
