@@ -21,7 +21,8 @@ from .partitions import (conjugate, format_partition, hooks_inside, partition,
 from .plethysm import (cauchy_dual_pi_schur, cauchy_pi_schur, dual_pi_schur,
                        pi_branch, pi_schur, pi_unbranch, power_substitute,
                        series_term)
-from .schurring import PowerExpr, SymFunc, _norm_coeff, to_power
+from .schurring import (PowerExpr, SymFunc, _norm_coeff, _power_mul_into,
+                         to_power)
 from .vertexops import (ChargedState, FactorChain, LaurentMap, NormalProduct,
                         annihilation_zero_word, anticommutator, apply_chain,
                         creation_zero_word, make_factor,
@@ -428,7 +429,9 @@ def _series_power_terms(shape, rmax):
 
         row[r] = sum_{k=1..r} (r-1)!/(r-k)! den^(k-1) Q_k row[r-k],
 
-    and col[r] is the same sum over col with the sign flipped."""
+    and col[r] is the same sum over col with the sign flipped.  Both run on
+    plain dicts, fused: one key merge per pair of monomials of Q_k and of
+    row[r-k] or col[r-k] feeds both sums."""
     gp = to_power(shape)
     den = lcm(*(a.denominator for a in gp.c.values()))
     gq = gp.scale(den)
@@ -436,16 +439,44 @@ def _series_power_terms(shape, rmax):
     row = [PowerExpr.one()]
     col = [PowerExpr.one()]
     for r in range(1, rmax + 1):
-        acc_row = PowerExpr()
-        acc_col = PowerExpr()
+        acc_row, acc_col = {}, {}
         for k in range(1, r + 1):
-            q = qs[k].scale(factorial(r - 1) // factorial(r - k)
-                            * den ** (k - 1))
-            acc_row = acc_row + q * row[r - k]
-            acc_col = acc_col + q * col[r - k]
-        row.append(acc_row)
-        col.append(-acc_col)
+            s = factorial(r - 1) // factorial(r - k) * den ** (k - 1)
+            x, y = row[r - k].c, col[r - k].c
+            both = [(tau, x.get(tau, 0), y.get(tau, 0))
+                    for tau in x.keys() | y.keys()]
+            for rho, q in qs[k].c.items():
+                q *= s
+                for tau, a, b in both:
+                    kappa = tuple(sorted(rho + tau, reverse=True))
+                    acc_row[kappa] = acc_row.get(kappa, 0) + q * a
+                    acc_col[kappa] = acc_col.get(kappa, 0) - q * b
+        row.append(PowerExpr._new(acc_row))
+        col.append(PowerExpr._new(acc_col))
     return row, col, den
+
+
+def _paired_total(row, col, r, perturb=False):
+    """sum_a C(r,a) row[a] col[r-a], summed into one dict.  Terms a and r-a
+    share one key merge per pair (rho, tau) of the supports of row[a] and
+    col[a] and of row[r-a] and col[r-a]; a = r-a is one _power_mul_into."""
+    total = {}
+    for a in range(r // 2 + 1):
+        b, c = r - a, comb(r, a)
+        # perturb: deliberately strip the sign off the column terms
+        ca, cb = (c * (-1) ** a, c * (-1) ** b) if perturb else (c, c)
+        xa, ya, xb, yb = row[a].c, col[a].c, row[b].c, col[b].c
+        if a == b:
+            _power_mul_into(total, xa, ya, ca)
+            continue
+        right = [(tau, yb.get(tau, 0), xb.get(tau, 0))
+                 for tau in xb.keys() | yb.keys()]
+        for rho in xa.keys() | ya.keys():
+            u, v = cb * xa.get(rho, 0), ca * ya.get(rho, 0)
+            for tau, p, q in right:
+                kappa = tuple(sorted(rho + tau, reverse=True))
+                total[kappa] = total.get(kappa, 0) + u * p + v * q
+    return PowerExpr._new(total)
 
 
 def _power_obj(expr, scale):
@@ -461,9 +492,9 @@ def verify_inverse_series(max_sigma_weight=3, max_zweight=12, hook_pis=None,
     paired on the diagonal of the mixed two-vertex product, with the formal
     weight of each pair capped at max_zweight.  The check runs on the
     integer-scaled Newton terms of _series_power_terms: sum_a M_a L_{r-a}
-    = 0 times r! den^r is sum_a C(r,a) row[a] col[r-a] = 0.  On the plain
-    shapes every Newton term is also checked against plethysm.series_term,
-    the kernel's own series."""
+    = 0 times r! den^r is sum_a C(r,a) row[a] col[r-a] = 0, with terms a
+    and r-a paired (_paired_total).  On the plain shapes every Newton term
+    is also checked against plethysm.series_term, the kernel's own series."""
     sigmas = [p for w in range(0, max_sigma_weight + 1)
               for p in partitions_of(w)]
     hook_pis = (_default_pis() if hook_pis is None
@@ -516,15 +547,7 @@ def verify_inverse_series(max_sigma_weight=3, max_zweight=12, hook_pis=None,
                     # lhs: series_term less the Newton term
                     return {"inputs": dict(inputs, family=family),
                             "lhs": _power_obj(diff, scale), "rhs": {}}
-        total = PowerExpr()
-        for a in range(r + 1):
-            x, y, c = row[a], col[r - a], comb(r, a)
-            if perturb:
-                # deliberately strip the sign off the column terms
-                c *= (-1) ** (r - a)
-            # the binomial scales the smaller factor: a scale costs its size
-            total = total + (x.scale(c) * y if len(x.c) <= len(y.c)
-                             else x * y.scale(c))
+        total = _paired_total(row, col, r, perturb)
         if not total:
             return None
         return {"inputs": inputs, "lhs": _power_obj(total, scale), "rhs": {}}

@@ -8,8 +8,10 @@ failures.
 
 import pytest
 
-from symvertex import vertexops
-from symvertex.verifier import verify_clifford
+from symvertex import schurring, verifier, vertexops
+from symvertex.plethysm import _series_memo
+from symvertex.schurring import PowerExpr, _char_memo
+from symvertex.verifier import verify_clifford, verify_inverse_series
 
 
 def _sign_forced_positive(orig):
@@ -32,8 +34,33 @@ def _extraction_off_by_one(orig):
     return planted
 
 
+def _scale_dropped(orig):
+    def planted(d, x, y, c):
+        return orig(d, x, y, 1)
+    return planted
+
+
+def _first_part_scaled_wrong(orig):
+    # p_k[p_rho] with its first part scaled by k+1 instead of k
+    def planted(k, expr):
+        return PowerExpr._new({(rho[0] + rho[0] // k,) + rho[1:] if rho
+                               else rho: a
+                               for rho, a in orig(k, expr).c.items()})
+    return planted
+
+
+def _constant_term_skipped(orig):
+    def planted(terms, strips):
+        return orig({rho: a for rho, a in terms.items() if rho}, strips)
+    return planted
+
+
 def clifford_small():
     return verify_clifford(degree_bound=3, mode_range=(-2, 2))
+
+
+def inverse_series_small():
+    return verify_inverse_series(max_sigma_weight=2, max_zweight=6)
 
 
 # (row id, module, attribute, wrapper building the plant from the original,
@@ -45,12 +72,21 @@ FAULTS = [
      _negative_terms_dropped, clifford_small),
     ("mode-extraction-off-by-one", vertexops, "_vertex_coefficient",
      _extraction_off_by_one, clifford_small),
+    ("power-mul-scale-dropped", verifier, "_power_mul_into",
+     _scale_dropped, inverse_series_small),
+    ("power-substitute-part-scaled", verifier, "power_substitute",
+     _first_part_scaled_wrong, inverse_series_small),
+    # the recursion looks itself up in schurring, so every level is planted
+    ("from-power-constant-skipped", schurring, "_from_power_int",
+     _constant_term_skipped, inverse_series_small),
 ]
 
 
 def _clear_memos():
     vertexops._mode_memo.clear()
     vertexops._stage_memo.clear()
+    _series_memo.clear()
+    _char_memo.clear()
 
 
 @pytest.fixture

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from symvertex.oracle import oracle_product
 from symvertex.partitions import (conjugate, contains, partition,
                                   partitions_of, partitions_up_to, weight)
-from symvertex.schurring import (PowerExpr, SymFunc, border_strips,
+from symvertex.schurring import (PowerExpr, SymFunc, _power_mul_into,
+                                 border_strips,
                                  centralizer_order, charvalue,
                                  format_symfunc, from_power, pieri_row,
                                  pieri_row_down, product_schur_pair,
@@ -127,6 +128,60 @@ class TestPowerBasis:
     @given(symfunc_strategy())
     def test_roundtrip_rational_combinations(self, f):
         assert from_power(to_power(f)) == f
+
+
+def merge_product(x, y):
+    """Reference for schurring._power_mul_into: the body PowerExpr.__mul__
+    had before the kernel was split out of it."""
+    d = {}
+    for rho, a in x.c.items():
+        for tau, b in y.c.items():
+            kappa = tuple(sorted(rho + tau, reverse=True))
+            d[kappa] = d.get(kappa, 0) + a * b
+    return PowerExpr._new(d)
+
+
+def power_strategy(coeff):
+    return st.dictionaries(small_partitions(4), coeff,
+                           max_size=4).map(PowerExpr)
+
+
+INTS = st.integers(-5, 5)
+RATIONALS = st.one_of(INTS, st.fractions(min_value=-3, max_value=3,
+                                         max_denominator=4))
+
+
+def typed(expr):
+    return {k: (type(v), v) for k, v in expr.c.items()}
+
+
+class TestPowerMulInto:
+    @given(power_strategy(RATIONALS), power_strategy(RATIONALS),
+           power_strategy(RATIONALS), RATIONALS)
+    def test_adds_the_scaled_product(self, z, x, y, c):
+        got = PowerExpr._new(_power_mul_into(dict(z.c), x.c, y.c, c))
+        assert typed(got) == typed(z + merge_product(x.scale(c), y))
+
+    @given(power_strategy(INTS), power_strategy(INTS), INTS)
+    def test_int_inputs_give_ints(self, x, y, c):
+        d = _power_mul_into({}, x.c, y.c, c)
+        assert all(type(v) is int for v in d.values())
+
+    @given(power_strategy(RATIONALS), power_strategy(RATIONALS))
+    def test_product_is_the_old_body(self, x, y):
+        assert typed(x * y) == typed(merge_product(x, y))
+
+    def test_integral_fractions_come_out_as_before(self):
+        x = PowerExpr({(1,): Fraction(3, 4), (2,): Fraction(1, 2)})
+        y = PowerExpr({(1,): 4, (): Fraction(2, 3)})
+        c = Fraction(2, 3)
+        got = PowerExpr._new(_power_mul_into({}, x.c, y.c, c))
+        want = merge_product(x.scale(c), y)
+        assert typed(got) == typed(want)
+        assert typed(x * y) == typed(merge_product(x, y))
+        # (3/4)(2/3)*4 = 2 and (1/2)(2/3)*4 = 4/3 become an int and a Fraction
+        assert typed(got)[(1, 1)] == (int, 2)
+        assert typed(got)[(2, 1)] == (Fraction, Fraction(4, 3))
 
 
 def character_row(rho):

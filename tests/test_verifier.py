@@ -3,9 +3,11 @@ report plumbing, and replayability of recorded failures."""
 
 import json
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symvertex import verifier
 from symvertex.jsonform import laurent_to_obj
@@ -14,7 +16,8 @@ from symvertex.partitions import (format_partition, hooks_inside,
 from symvertex.plethysm import plethysm, power_substitute, series_term
 from symvertex.schurring import PowerExpr, SymFunc, to_power
 from symvertex.verifier import (SUITES, VerificationReport, _laurent_diff,
-                                _reordering_sides, _series_power_terms,
+                                _paired_total, _reordering_sides,
+                                _series_power_terms,
                                 verify_clifford,
                                 verify_inverse_series, verify_multivertex,
                                 verify_reordering, verify_route_agreement,
@@ -224,9 +227,46 @@ def default_suite_shapes():
     return shapes
 
 
+def product_series_terms(shape, rmax):
+    """Reference for verifier._series_power_terms: the integer-scaled
+    Newton recurrences run one PowerExpr product and sum per term, as the
+    suite ran them before the two were fused onto plain dicts."""
+    gp = to_power(shape)
+    den = lcm(*(a.denominator for a in gp.c.values()))
+    gq = gp.scale(den)
+    qs = [None] + [power_substitute(k, gq) for k in range(1, rmax + 1)]
+    row = [PowerExpr.one()]
+    col = [PowerExpr.one()]
+    for r in range(1, rmax + 1):
+        acc_row = PowerExpr()
+        acc_col = PowerExpr()
+        for k in range(1, r + 1):
+            q = qs[k].scale(factorial(r - 1) // factorial(r - k)
+                            * den ** (k - 1))
+            acc_row = acc_row + q * row[r - k]
+            acc_col = acc_col + q * col[r - k]
+        row.append(acc_row)
+        col.append(-acc_col)
+    return row, col, den
+
+
+def product_total(row, col, r, perturb=False):
+    """Reference for verifier._paired_total: sum_a C(r,a) row[a] col[r-a]
+    by one PowerExpr product per term and a sum, as the suite's check ran
+    it before the terms were paired; perturb signs term a by (-1)^(r-a)."""
+    total = PowerExpr()
+    for a in range(r + 1):
+        c = comb(r, a) * ((-1) ** (r - a) if perturb else 1)
+        total = total + row[a].scale(c) * col[r - a]
+    return total
+
+
 def assert_scaled_terms_match(shape, rmax):
+    """The Newton terms against both references, and the check's paired
+    totals, with perturb off and on, against the product-and-add total."""
     row, col, den = _series_power_terms(shape, rmax)
     ref_row, ref_col = fraction_series_terms(shape, rmax)
+    assert (row, col, den) == product_series_terms(shape, rmax)
     assert len(row) == len(col) == rmax + 1
     for r in range(rmax + 1):
         scale = factorial(r) * den ** r
@@ -234,11 +274,14 @@ def assert_scaled_terms_match(shape, rmax):
             assert all(type(v) is int for v in term.c.values())
         assert row[r].scale(Fraction(1, scale)) == ref_row[r], r
         assert col[r].scale(Fraction(1, scale)) == ref_col[r], r
+        for perturb in (False, True):
+            assert (_paired_total(row, col, r, perturb)
+                    == product_total(row, col, r, perturb)), (r, perturb)
 
 
 class TestIntegerSeriesTerms:
     """The integer-scaled Newton terms of the inverse-series suite against
-    the Fraction recurrence it replaced."""
+    the Fraction recurrence and the PowerExpr products it replaced."""
 
     @pytest.mark.parametrize("label, shape",
                              sorted(default_suite_shapes().items()))
@@ -248,8 +291,11 @@ class TestIntegerSeriesTerms:
     @pytest.mark.parametrize("shape, rmax", [
         (SymFunc.one(), 12), (SymFunc.schur((1,)), 12),
         (SymFunc.schur((2, 1)), 4),
-        # the hook skew [3]/[1] = s[2], paired at the hook's weight 1
-        (SymFunc.schur((3,)).skew_by((1,)), 12)])
+        # hook skews paired at the hook's weight 1: [3]/[1] = s[2],
+        # [2,2]/[1] = s[2,1] and [3,1]/[1] = s[3] + s[2,1]
+        (SymFunc.schur((3,)).skew_by((1,)), 12), (SymFunc.schur((2,)), 6),
+        (SymFunc.schur((2, 2)).skew_by((1,)), 12),
+        (SymFunc.schur((3, 1)).skew_by((1,)), 12)])
     def test_full_range(self, shape, rmax):
         assert_scaled_terms_match(shape, rmax)
 
@@ -276,6 +322,26 @@ class TestIntegerSeriesTerms:
                                     hook_pis=[(2,)], perturb=True)
         assert rep.cases_run == 10
         assert want and rep.failures == want
+
+
+class TestPairedTotal:
+    @given(st.integers(0, 4).flatmap(lambda r: st.tuples(
+        st.just(r),
+        st.lists(st.dictionaries(
+            st.sampled_from([p for w in range(4) for p in partitions_of(w)]),
+            st.one_of(st.integers(-6, 6),
+                      st.fractions(max_denominator=4, min_value=-3,
+                                   max_value=3)),
+            max_size=4), min_size=2 * r + 2, max_size=2 * r + 2))))
+    def test_paired_total_on_random_terms(self, case):
+        """Random row and col terms with supports of their own and int and
+        Fraction coefficients mixed."""
+        r, dicts = case
+        row = [PowerExpr(d) for d in dicts[:r + 1]]
+        col = [PowerExpr(d) for d in dicts[r + 1:]]
+        for perturb in (False, True):
+            assert (_paired_total(row, col, r, perturb)
+                    == product_total(row, col, r, perturb))
 
 
 class TestSeriesTermFault:
