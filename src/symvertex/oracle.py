@@ -14,12 +14,14 @@ Functions and Hall Polynomials, I.3), so a symmetric function whose terms
 all have at most n rows is recovered exactly from its image in n variables.
 Each entry point states its width and why it suffices.
 
-Schur polynomials come from a one-letter-at-a-time horizontal-strip dynamic
-program (summing over semistandard tableaux), decomposition back into Schur
-terms peels the lexicographically greatest monomial, and the deformed Schur
-functions are read off literally from truncated products of their generating
-kernels.  None of the character/power-sum machinery of schurring is used
-here; only the partitions module is shared.
+Schur polynomials and plethysms come from one tableau sum, a
+one-letter-at-a-time horizontal-strip dynamic program over semistandard
+tableaux, and decomposition back into Schur terms peels the
+lexicographically greatest monomial.  The deformed Schur functions are read
+off literally from the product of a two-alphabet Cauchy kernel and the
+series of a shape, each a truncated product built by one routine.  None of
+the character/power-sum machinery of schurring is used here; only the
+partitions module is shared.
 """
 
 import math
@@ -29,16 +31,6 @@ from .partitions import (conjugate, format_partition, partition,
 from .schurring import SymFunc
 
 _MAXVARS = 15
-
-
-def _pack(exps, nvars):
-    key = 0
-    for i in range(nvars):
-        e = exps[i] if i < len(exps) else 0
-        if e > 15:
-            raise OverflowError("exponent %d does not fit a nibble" % e)
-        key |= e << (4 * (nvars - 1 - i))
-    return key
 
 
 def _unpack(key, nvars):
@@ -143,16 +135,25 @@ def _horiz_preds(nu):
 _schur_poly_memo = {}
 
 
-def _letter_pass(states, order, letter_key):
-    """One dynamic-programming pass absorbing a single letter (a packed
-    monomial).  In-place: states are visited by decreasing weight, so each
-    update reads only not-yet-updated smaller states."""
-    for nu in order:
-        tgt = states[nu]
-        for nup, k in _horiz_preds(nu):
-            src = states[nup]
-            if src:
-                poly_add_scaled(tgt, src, 1, k * letter_key)
+def _tableau_sum(shape, letters):
+    """Sum over the semistandard tableaux of `shape` with entries from the
+    alphabet `letters` (packed monomials in the alphabet's order; a monomial
+    listed m times is m letters) of the product of their entries: one
+    horizontal strip per letter.  Each pass runs in place, visiting states
+    by decreasing weight, so an update reads only smaller states not yet
+    updated in this pass."""
+    subs = subpartitions(shape)
+    states = {nu: {} for nu in subs}
+    states[()] = {0: 1}
+    order = [nu for nu in sorted(subs, key=weight, reverse=True) if nu]
+    for letter in letters:
+        for nu in order:
+            tgt = states[nu]
+            for nup, k in _horiz_preds(nu):
+                src = states[nup]
+                if src:
+                    poly_add_scaled(tgt, src, 1, k * letter)
+    return states[shape]
 
 
 def schur_poly(lam, nvars):
@@ -164,18 +165,10 @@ def schur_poly(lam, nvars):
         return {}
     key = (lam, nvars)
     found = _schur_poly_memo.get(key)
-    if found is not None:
-        return found
-    subs = subpartitions(lam)
-    states = {nu: {} for nu in subs}
-    states[()] = {0: 1}
-    order = sorted(subs, key=weight, reverse=True)
-    order = [nu for nu in order if nu]
-    for j in range(nvars):
-        _letter_pass(states, order, 1 << (4 * (nvars - 1 - j)))
-    res = states[lam]
-    _schur_poly_memo[key] = res
-    return res
+    if found is None:
+        found = _schur_poly_memo[key] = _tableau_sum(
+            lam, [1 << (4 * (nvars - 1 - j)) for j in range(nvars)])
+    return found
 
 
 def is_symmetric_sampled(poly, nvars):
@@ -201,6 +194,8 @@ def decompose(poly, nvars):
     Peels the lexicographically greatest monomial (whose exponents must be
     weakly decreasing, or the input was not symmetric) until nothing is
     left.  Symmetry itself is spot-checked by sampled transpositions first.
+    A peel that leaves its own leading monomial raises ValueError rather
+    than loop forever.
     """
     poly = dict(poly)
     if not is_symmetric_sampled(poly, nvars):
@@ -213,6 +208,9 @@ def decompose(poly, nvars):
         c = poly[top]
         out[lead] = c
         poly_add_scaled(poly, schur_poly(lead, nvars), -c)
+        if top in poly:
+            raise ValueError("peeling s_%s left its leading monomial"
+                             % format_partition(lead))
     return SymFunc(out)
 
 
@@ -262,139 +260,42 @@ def oracle_plethysm(mu, nu):
                   % (format_partition(mu), format_partition(nu)),
                   n, weight(mu) * max(nu, default=0))
     n = max(n, 1)
-    letters = sorted(schur_poly(nu, n).items(), reverse=True)
-    subs = subpartitions(mu)
-    states = {kappa: {} for kappa in subs}
-    states[()] = {0: 1}
-    order = sorted(subs, key=weight, reverse=True)
-    order = [kappa for kappa in order if kappa]
-    for key, mult in letters:
-        for _ in range(mult):
-            _letter_pass(states, order, key)
-    return decompose(states[mu], n)
+    letters = [key for key, mult in sorted(schur_poly(nu, n).items(),
+                                           reverse=True)
+               for _ in range(mult)]
+    return decompose(_tableau_sum(mu, letters), n)
 
 
 # ---- literal generating kernels for the deformed Schur functions ----
 #
 # Two alphabets share one packed key: X in the high n_x nibbles, Z in the
 # low n_z nibbles.  Keys add like monomials as long as no nibble overflows,
-# which the guard in _kernel_coefficient ensures.
-
-_hprod_memo = {}
-
-
-def _hprod(dpart, n):
-    """Product of one-row Schur polynomials h_{d_1} h_{d_2} ... in n
-    variables."""
-    key = (dpart, n)
-    found = _hprod_memo.get(key)
-    if found is not None:
-        return found
-    acc = {0: 1}
-    for k in dpart:
-        acc = poly_mul(acc, schur_poly((k,), n))
-    _hprod_memo[key] = acc
-    return acc
-
-
-def _compositions(total_max, n):
-    """All exponent vectors of length n with sum <= total_max."""
-    out = []
-
-    def rec(i, left, prefix):
-        if i == n:
-            out.append(tuple(prefix))
-            return
-        for v in range(left + 1):
-            rec(i + 1, left - v, prefix + [v])
-
-    rec(0, total_max, [])
-    return out
-
-_row_kernel_memo = {}
-
-
-def _row_kernel_layers(n_x, n_z, cap):
-    """The two-alphabet row kernel 1/prod(1 - x_k z_l), truncated to
-    Z-degree <= cap and grouped by Z-degree: the Z^d coefficient is the
-    h-product over the entries of d."""
-    key = (n_x, n_z, cap)
-    found = _row_kernel_memo.get(key)
-    if found is not None:
-        return found
-    shift = 4 * n_z
-    layers = {d: {} for d in range(cap + 1)}
-    for d in _compositions(cap, n_z):
-        zkey = _pack(d, n_z)
-        xpoly = _hprod(partition(sorted(d, reverse=True)), n_x)
-        layer = layers[sum(d)]
-        for xk, c in xpoly.items():
-            layer[(xk << shift) | zkey] = c
-    _row_kernel_memo[key] = layers
-    return layers
-
-
-_col_kernel_memo = {}
-
-
-def _col_kernel_layers(n_x, n_z, cap):
-    """The two-alphabet column kernel prod(1 - x_k z_l), truncated to
-    Z-degree <= cap (X-degree matches Z-degree term by term) and grouped by
-    Z-degree."""
-    key = (n_x, n_z, cap)
-    found = _col_kernel_memo.get(key)
-    if found is not None:
-        return found
-    shift = 4 * n_z
-    acc = {0: 1}
-    for k in range(n_x):
-        for l in range(n_z):
-            mono = ((1 << (shift + 4 * (n_x - 1 - k)))
-                    | (1 << (4 * (n_z - 1 - l))))
-            # the low block of a key is its Z-degree
-            low = {kk: vv for kk, vv in acc.items() if _degree(kk, n_z) < cap}
-            acc = poly_add_scaled(dict(acc), low, -1, mono)
-    layers = {d: {} for d in range(cap + 1)}
-    for kk, vv in acc.items():
-        layers[_degree(kk, n_z)][kk] = vv
-    _col_kernel_memo[key] = layers
-    return layers
-
+# which the guard in _kernel_coefficient ensures.  Both kernels and the
+# series of a shape are truncated products over the monomials T of a base
+# polynomial, built by _series_factor_layers: the row kernel
+# 1/prod(1 - x_k z_l) and the column kernel prod(1 - x_k z_l) (Macdonald
+# I.4) over the base sum_{k,l} x_k z_l, the series over the Schur
+# polynomial of the shape in Z.
 
 def _series_factor_layers(base, n, cap, inverted):
     """Truncated product over the monomials T (with multiplicity m) of the
-    packed polynomial `base`: of (1 - Z^T)^m, or its inverse when
-    `inverted`.  Returns {z_degree: {key: coeff}}."""
-    acc = {0: 1}
+    packed polynomial `base`: of (1 - T)^m, or its inverse when `inverted`,
+    to degree cap, the degree of a key read in its low n nibbles.  Built
+    and returned layered by that degree: {d: {key: coeff}} for d <= cap."""
+    layers = {d: {} for d in range(cap + 1)}
+    layers[0][0] = 1
     for t, m in sorted(base.items(), reverse=True):
         dt = _degree(t, n)
         if dt == 0:
             raise ValueError("constant monomial in a series kernel")
-        terms = []
-        j = 0
-        while j * dt <= cap:
-            if inverted:
-                c = math.comb(m + j - 1, j)
-            else:
-                c = (-1) ** j * math.comb(m, j)
-            terms.append((j * t, c))
-            j += 1
-        new = {}
-        for kk, vv in acc.items():
-            room = cap - _degree(kk, n)
-            for off, c in terms:
-                if _degree(off, n) > room:
-                    break
-                nk = kk + off
-                nv = new.get(nk, 0) + vv * c
-                if nv:
-                    new[nk] = nv
-                else:
-                    new.pop(nk, None)
-        acc = new
-    layers = {d: {} for d in range(cap + 1)}
-    for kk, vv in acc.items():
-        layers[_degree(kk, n)][kk] = vv
+        new = {d: dict(layer) for d, layer in layers.items()}
+        for j in range(1, cap // dt + 1):
+            c = (math.comb(m + j - 1, j) if inverted
+                 else (-1) ** j * math.comb(m, j))
+            for d in range(cap - j * dt + 1):
+                if c and layers[d]:
+                    poly_add_scaled(new[d + j * dt], layers[d], c, j * t)
+        layers = new
     return layers
 
 
@@ -433,9 +334,13 @@ def _extract_schur_z(kernel_layers, zfactor_layers, n_x, n_z, lam):
     return target
 
 
-def _kernel_coefficient(kernel_layers, n_x, shape, inverted, lam):
-    """Coefficient of s_lam(Z) in (two-alphabet kernel in X and Z) * (the
-    series of `shape` in Z, inverted or not), decomposed in X.
+_kernel_memo = {}
+
+
+def _kernel_coefficient(row, n_x, shape, inverted, lam):
+    """Coefficient of s_lam(Z) in (two-alphabet kernel in X and Z: the row
+    kernel when `row`, else the column kernel) * (the series of `shape` in
+    Z, inverted or not), decomposed in X.
 
     Z takes l(lam) variables: there s_lam(Z) survives and stays independent
     of the other Schur polynomials with at most l(lam) rows, while every
@@ -447,7 +352,12 @@ def _kernel_coefficient(kernel_layers, n_x, shape, inverted, lam):
     w, n_z = weight(lam), len(lam)
     _check_packed("deformed Schur at lambda=%s" % format_partition(lam),
                   n_x + n_z, w)
-    kernel = kernel_layers(n_x, n_z, w)
+    key = (n_x, n_z, w, row)
+    kernel = _kernel_memo.get(key)
+    if kernel is None:
+        base = {1 << 4 * (n_x + n_z - 1 - k) | 1 << 4 * (n_z - 1 - l): 1
+                for k in range(n_x) for l in range(n_z)}
+        kernel = _kernel_memo[key] = _series_factor_layers(base, n_z, w, row)
     # a shape heavier than lam contributes only the constant term
     base = schur_poly(shape, n_z) if weight(shape) <= w else {}
     zfac = _series_factor_layers(base, n_z, w, inverted)
@@ -463,7 +373,7 @@ def oracle_pi_schur(pi, lam):
     s_kappa(Z), and only kappa contained in lam reach the coefficient of
     s_lam(Z)."""
     pi, lam = partition(pi), partition(lam)
-    return _kernel_coefficient(_row_kernel_layers, len(lam), pi, False, lam)
+    return _kernel_coefficient(True, len(lam), pi, False, lam)
 
 
 def oracle_dual_pi_schur(pi, lam):
@@ -476,5 +386,5 @@ def oracle_dual_pi_schur(pi, lam):
     s_kappa(X) s_kappa'(Z), and only kappa' contained in lam reach the
     coefficient of s_lam(Z), so l(kappa) <= lam_1."""
     pi, lam = partition(pi), partition(lam)
-    return _kernel_coefficient(_col_kernel_layers, max(lam, default=0),
-                               conjugate(pi), weight(pi) % 2 == 1, lam)
+    return _kernel_coefficient(False, max(lam, default=0), conjugate(pi),
+                               weight(pi) % 2 == 1, lam)

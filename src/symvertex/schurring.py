@@ -113,10 +113,6 @@ def pieri_row(lam, k):
     out = []
 
     def rec(i, rem, prefix):
-        if i > n:
-            if rem == 0:
-                out.append(partition(prefix))
-            return
         low = lam[i] if i < n else 0
         cap = lam[i - 1] if i >= 1 else low + rem
         hi = min(cap, low + rem)

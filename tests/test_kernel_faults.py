@@ -6,12 +6,14 @@ before the plant can hide it, and requires a small suite run to report
 failures.
 """
 
+import sys
+
 import pytest
 
-from symvertex import schurring, verifier, vertexops
-from symvertex.plethysm import _series_memo
-from symvertex.schurring import PowerExpr, _char_memo
-from symvertex.verifier import verify_clifford, verify_inverse_series
+from symvertex import oracle, schurring, verifier, vertexops
+from symvertex.schurring import PowerExpr
+from symvertex.verifier import (verify_clifford, verify_inverse_series,
+                                verify_reordering, verify_route_agreement)
 
 
 def _sign_forced_positive(orig):
@@ -55,12 +57,35 @@ def _constant_term_skipped(orig):
     return planted
 
 
+def _truncated_one_short(orig):
+    def planted(base, n, cap, inverted):
+        return orig(base, n, max(cap - 1, 0), inverted)
+    return planted
+
+
+def _last_candidate_dropped(orig):
+    def planted(lam, k):
+        out = orig(lam, k)
+        return out[:-1] if k > 0 else out
+    return planted
+
+
 def clifford_small():
     return verify_clifford(degree_bound=3, mode_range=(-2, 2))
 
 
 def inverse_series_small():
     return verify_inverse_series(max_sigma_weight=2, max_zweight=6)
+
+
+def route_agreement_small():
+    return verify_route_agreement(pis=[(1,), (2,), (1, 1)], max_weight=3,
+                                  include_vertex=False)
+
+
+def reordering_small():
+    return verify_reordering(cases=("MM", "LL"), pis=[(2,)], window=(0, 2),
+                             test_degree=3)
 
 
 # (row id, module, attribute, wrapper building the plant from the original,
@@ -79,14 +104,22 @@ FAULTS = [
     # the recursion looks itself up in schurring, so every level is planted
     ("from-power-constant-skipped", schurring, "_from_power_int",
      _constant_term_skipped, inverse_series_small),
+    # both kernels and the shape series are built by this one routine
+    ("series-factors-one-degree-short", oracle, "_series_factor_layers",
+     _truncated_one_short, route_agreement_small),
+    # products and the column rules look it up in schurring
+    ("pieri-row-drops-last", schurring, "pieri_row",
+     _last_candidate_dropped, reordering_small),
 ]
 
 
 def _clear_memos():
-    vertexops._mode_memo.clear()
-    vertexops._stage_memo.clear()
-    _series_memo.clear()
-    _char_memo.clear()
+    """Empty every module-level memo dict of the package."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("symvertex."):
+            for attr, val in vars(mod).items():
+                if attr.endswith("_memo") and isinstance(val, dict):
+                    val.clear()
 
 
 @pytest.fixture

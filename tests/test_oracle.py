@@ -59,9 +59,24 @@ class TestDecompose:
         assert decompose({}, 3) == SymFunc.zero()
 
     def test_rejects_non_symmetric(self):
-        lopsided = {oracle._pack((2, 0), 2): 1}
+        lopsided = {2 << 4: 1}  # x0^2 in two variables
         with pytest.raises(ValueError):
             decompose(lopsided, 2)
+
+    def test_peel_that_keeps_its_lead_raises(self, monkeypatch):
+        # a Schur polynomial missing its leading monomial cannot peel it;
+        # decompose must refuse instead of looping forever
+        poly = schur_poly((2, 1), 3)
+        real = oracle.schur_poly
+
+        def planted(lam, nvars):
+            p = dict(real(lam, nvars))
+            p.pop(max(p), None)
+            return p
+
+        monkeypatch.setattr(oracle, "schur_poly", planted)
+        with pytest.raises(ValueError, match=r"peeling s_\[2,1\] left"):
+            decompose(poly, 3)
 
 
 class TestOracleProduct:
