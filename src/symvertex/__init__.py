@@ -9,11 +9,11 @@ from .partitions import (conjugate, format_partition, hooks_inside,
                          parse_partition, partition, partitions_of,
                          partitions_up_to, weight)
 from .schurring import PowerExpr, SymFunc, format_symfunc
-from .plethysm import (SeriesSpec, cauchy_dual_pi_schur, cauchy_pi_schur,
-                       dual_pi_schur, pi_branch, pi_schur, pi_unbranch,
-                       plethysm, series_term)
+from .plethysm import (cauchy_dual_pi_schur, cauchy_pi_schur, dual_pi_schur,
+                       pi_branch, pi_schur, pi_unbranch, plethysm,
+                       series_term)
 from .vertexops import (ChargedState, LaurentMap, anticommutator,
-                        apply_chain, build_dual_vertex, build_vertex, mode,
+                        apply_chain, build_vertex, mode,
                         normal_ordered_string, string_chain, vertex_string,
                         zero_mode_normal_form)
 from .oracle import (decompose, oracle_dual_pi_schur, oracle_pi_schur,
@@ -32,11 +32,11 @@ __all__ = [
     "partition", "weight", "conjugate", "partitions_of", "partitions_up_to",
     "hooks_inside", "parse_partition", "format_partition",
     "SymFunc", "PowerExpr", "format_symfunc",
-    "plethysm", "series_term", "SeriesSpec",
+    "plethysm", "series_term",
     "pi_schur", "dual_pi_schur", "cauchy_pi_schur", "cauchy_dual_pi_schur",
     "pi_branch", "pi_unbranch",
     "ChargedState", "LaurentMap", "apply_chain", "build_vertex",
-    "build_dual_vertex", "string_chain", "vertex_string", "mode",
+    "string_chain", "vertex_string", "mode",
     "anticommutator", "normal_ordered_string", "zero_mode_normal_form",
     "schur_poly", "decompose", "oracle_product", "oracle_plethysm",
     "oracle_pi_schur", "oracle_dual_pi_schur",

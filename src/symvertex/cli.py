@@ -19,8 +19,8 @@ from .jsonform import dumps, parse_symfunc, state_from_obj, state_to_obj, \
 from .oracle import (oracle_dual_pi_schur, oracle_pi_schur, oracle_plethysm,
                      oracle_product)
 from .partitions import format_partition, parse_partition, weight
-from .plethysm import (SeriesSpec, cauchy_dual_pi_schur, cauchy_pi_schur,
-                       dual_pi_schur, pi_branch, pi_schur, plethysm)
+from .plethysm import (cauchy_dual_pi_schur, cauchy_pi_schur, dual_pi_schur,
+                       pi_branch, pi_schur, plethysm, series_term)
 from .schurring import SymFunc, format_symfunc
 from .vertexops import ChargedState, mode as apply_mode, vertex_string
 from .verifier import REORDERING_CASES, SUITES
@@ -216,28 +216,28 @@ def _run_plethysm(args, config):
 
 def _run_series(args, config):
     shape = SymFunc.schur(args.shape)
+    label = args.family + format_partition(args.shape)
     if args.skew is not None:
-        spec = SeriesSpec.skew(args.family, args.shape, args.skew)
-        if not spec.shape:
+        shape = shape.skew_by(args.skew)
+        if not shape:
             raise CliError("--skew", "shape %s skewed by %s is zero"
                            % (format_partition(args.shape),
                               format_partition(args.skew)))
-        shape = spec.shape
-    else:
-        spec = SeriesSpec.plain(args.family, args.shape)
+        label += "/" + format_partition(args.skew)
     _check_budget(config, args.max_r * max(shape.degree(), 1),
                   "series table to r=%d on a degree-%d shape"
                   % (args.max_r, shape.degree()))
-    terms = [spec.term(r) for r in range(args.max_r + 1)]
+    terms = [series_term(args.family, shape, r)
+             for r in range(args.max_r + 1)]
 
     def text():
-        head = "%s-series of %s" % (args.family, spec.label)
+        head = "%s-series of %s" % (args.family, label)
         rows = ["r=%d: %s" % (r, format_symfunc(t))
                 for r, t in enumerate(terms)]
         return "\n".join([head] + rows)
 
     def obj():
-        return {"family": args.family, "shape": spec.label,
+        return {"family": args.family, "shape": label,
                 "max_r": args.max_r,
                 "terms": [symfunc_to_obj(t) for t in terms]}
 

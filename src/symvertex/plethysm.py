@@ -17,7 +17,6 @@ for an arbitrary (possibly inhomogeneous, possibly constant) shape g.  They
 are mutually inverse: M_g(z) L_g(z) = 1.
 """
 
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .partitions import conjugate, partition, partitions_of, weight
@@ -94,40 +93,6 @@ def series_term(family, shape, r):
     val.c = MappingProxyType(val.c)
     _series_memo[key] = val
     return val
-
-
-@dataclass(eq=False)
-class SeriesSpec:
-    """One of the two graded series attached to a concrete shape.
-
-    family is 'M' (row series) or 'L' (column series); shape is any SymFunc.
-    The label only feeds reprs and reports.
-    """
-
-    family: str
-    shape: SymFunc
-    label: str = ""
-
-    @classmethod
-    def plain(cls, family, sigma):
-        sigma = partition(sigma)
-        return cls(family, SymFunc.schur(sigma),
-                   "%s[%s]" % (family, ",".join(map(str, sigma))))
-
-    @classmethod
-    def skew(cls, family, pi, kappa):
-        pi, kappa = partition(pi), partition(kappa)
-        shape = SymFunc.schur(pi).skew_by(kappa)
-        return cls(family, shape,
-                   "%s[%s]/[%s]" % (family, ",".join(map(str, pi)),
-                                    ",".join(map(str, kappa))))
-
-    def term(self, r):
-        return series_term(self.family, self.shape, r)
-
-    def __repr__(self):
-        return "SeriesSpec(%s)" % (self.label or
-                                   "%s of %r" % (self.family, self.shape))
 
 
 # #### deformed Schur functions and branching ####

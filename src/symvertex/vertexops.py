@@ -224,20 +224,22 @@ def make_factor(action, family, shape, exps, varnames):
     return Factor(action, family, shape, tuple(exps), label)
 
 
-def _min_degree(shape):
-    return min((weight(lam) for lam in shape.c), default=0)
-
-
-def _finite_series_bound(factor):
-    """Highest nonzero term index of the factor's series, when that is
-    finite a priori: an alternating-sign series on a constant shape c has
-    coefficients (-1)^r * e_r[c], zero beyond r = c for integer c >= 0."""
-    if factor.family != "L" or factor.shape.degree() != 0:
-        return None
-    c = factor.shape.coeff(())
-    if c == int(c) and c >= 0:
-        return int(c)
-    return None
+def _self_bound(factor):
+    """How a factor bounds its own expansion, as (step, cap); (0, None)
+    when only the window bounds it.  An adjoint whose shape has no
+    constant term lowers the degree by at least step per term, so on a
+    state of degree d at most d // step terms act.  An alternating-sign
+    series on a constant shape c, an integer >= 0, has coefficients
+    (-1)^r e_r[c], zero beyond r = cap = c."""
+    if factor.action == "skew":
+        step = min((weight(lam) for lam in factor.shape.c), default=0)
+        if step >= 1:
+            return step, None
+    if factor.family == "L" and factor.shape.degree() == 0:
+        c = factor.shape.coeff(())
+        if c == int(c) and c >= 0:
+            return 0, int(c)
+    return 0, None
 
 
 _PLAN_CEILING = 400
@@ -257,6 +259,7 @@ def _termination_plan(chain, state_degree, window):
     lo = [window[v][0] for v in chain.vars]
     hi = [window[v][1] for v in chain.vars]
     rb = [0] * T
+    bounds = [_self_bound(f) for f in app]
 
     def reach():
         down = [[0] * nv for _ in range(T + 1)]
@@ -276,12 +279,11 @@ def _termination_plan(chain, state_degree, window):
         deg = state_degree
         for u in range(T):
             f = app[u]
-            dmin = _min_degree(f.shape)
-            fin = _finite_series_bound(f)
-            if f.action == "skew" and dmin >= 1:
-                new = max(0, deg) // dmin
-            elif fin is not None:
-                new = fin
+            step, cap = bounds[u]
+            if step:
+                new = max(0, deg) // step
+            elif cap is not None:
+                new = cap
             else:
                 # expansion bounded only by the window box
                 caps = []
@@ -331,18 +333,17 @@ def apply_chain(chain, state, window):
     app = list(reversed(chain.factors))
     cur = {(0,) * nv: state}
     for u, f in enumerate(app):
-        dmin = _min_degree(f.shape)
-        fin = _finite_series_bound(f)
+        step, cap = _self_bound(f)
         # the box of exponents that later factors can still bring back
         # into the window
         lo_u = [lo[v] - up[u + 1][v] for v in range(nv)]
         hi_u = [hi[v] + down[u + 1][v] for v in range(nv)]
         nxt = {}
         for exps, val in cur.items():
-            if f.action == "skew" and dmin >= 1:
-                rmax = val.degree() // dmin
-            elif fin is not None:
-                rmax = fin
+            if step:
+                rmax = val.degree() // step
+            elif cap is not None:
+                rmax = cap
             else:
                 rmax = rb[u]
                 for v, e in enumerate(f.exps):
@@ -371,7 +372,62 @@ def apply_chain(chain, state, window):
     return out
 
 
-# #### the two vertex operator families ####
+# #### vertex operators and their products ####
+
+def _vertex_factors(pi, duals, varnames):
+    """Factors of the normal-ordered product of vertex operators of shape
+    pi, one per variable: creation where duals[i] is False, annihilation
+    where it is True, none where it is None.
+
+    First one multiplication per operator, by the row series in z_i
+    (creation) or the column series (annihilation); then one adjoint per
+    operator, of the other family, in 1/z_i; then, for every nonzero index
+    tuple k with k_i up to the first row (creation) or the length
+    (annihilation) of pi, the adjoint series of pi skewed by a k_i-row for
+    each creation and a k_i-column for each annihilation, in prod z_i^k_i:
+    the row series when the column boxes are odd, else the column
+    series."""
+    pi = partition(pi)
+    nv = len(varnames)
+    s1 = SymFunc.schur((1,))
+    ops = [i for i, d in enumerate(duals) if d is not None]
+
+    def unit(i, e):
+        return tuple(e if v == i else 0 for v in range(nv))
+
+    factors = [make_factor("multiply", "L" if duals[i] else "M", s1,
+                           unit(i, 1), varnames) for i in ops]
+    factors += [make_factor("skew", "M" if duals[i] else "L", s1,
+                            unit(i, -1), varnames) for i in ops]
+    tops = [0 if d is None else len(pi) if d else (pi[0] if pi else 0)
+            for d in duals]
+    for tup in product(*(range(t + 1) for t in tops)):
+        if not any(tup):
+            continue
+        shape = SymFunc.schur(pi)
+        for k, d in zip(tup, duals):
+            if k and shape:
+                shape = shape.skew_by((1,) * k if d else (k,))
+        if shape:
+            odd = sum(k for k, d in zip(tup, duals) if d) % 2
+            factors.append(make_factor("skew", "M" if odd else "L", shape,
+                                       tup, varnames))
+    return factors
+
+
+def string_chain(pi, duals, varnames=None):
+    """The literal left-to-right product of vertex operators of shape pi,
+    one per variable (annihilation where duals[i] is true; variables
+    z1..zm by default), as a single chain."""
+    m = len(duals)
+    if varnames is None:
+        varnames = tuple("z%d" % (i + 1) for i in range(m))
+    factors = []
+    for i, d in enumerate(duals):
+        factors += _vertex_factors(
+            pi, tuple(d if v == i else None for v in range(m)), varnames)
+    return FactorChain(tuple(varnames), factors)
+
 
 def build_vertex(pi, var="z", dual=False):
     """Creation vertex operator of shape pi in one variable: multiplication
@@ -383,47 +439,7 @@ def build_vertex(pi, var="z", dual=False):
     column series in z, the adjoint row series in 1/z, and for each column
     depth k up to the length of pi an adjoint series of the k-column skew
     of pi in z^k -- row series for odd k, column series for even k."""
-    pi = partition(pi)
-    vs = (var,)
-    s1 = SymFunc.schur((1,))
-    mult, adj = ("L", "M") if dual else ("M", "L")
-    factors = [make_factor("multiply", mult, s1, (1,), vs),
-               make_factor("skew", adj, s1, (-1,), vs)]
-    top = len(pi) if dual else (pi[0] if pi else 0)
-    for k in range(1, top + 1):
-        shape = SymFunc.schur(pi).skew_by((1,) * k if dual else (k,))
-        if shape:
-            fam = "M" if dual and k % 2 == 1 else "L"
-            factors.append(make_factor("skew", fam, shape, (k,), vs))
-    return FactorChain(vs, factors)
-
-
-def build_dual_vertex(pi, var="z"):
-    """Annihilation vertex operator of shape pi (build_vertex, dual=True)."""
-    return build_vertex(pi, var, dual=True)
-
-
-def _embed_chain(chain1, position, varnames):
-    """Re-index a one-variable chain into a multi-variable space."""
-    nv = len(varnames)
-    factors = []
-    for f in chain1.factors:
-        exps = [0] * nv
-        exps[position] = f.exps[0]
-        factors.append(make_factor(f.action, f.family, f.shape, exps, varnames))
-    return factors
-
-
-def string_chain(pi, m, dual=False, varnames=None):
-    """The literal left-to-right product of m vertex operators of shape pi
-    in variables z1..zm as a single chain."""
-    if varnames is None:
-        varnames = tuple("z%d" % (i + 1) for i in range(m))
-    factors = []
-    for i in range(m):
-        factors.extend(_embed_chain(build_vertex(pi, dual=dual), i,
-                                    varnames))
-    return FactorChain(tuple(varnames), factors)
+    return string_chain(pi, (dual,), (var,))
 
 
 DEFAULT_STRING_BOUND = 4
@@ -442,7 +458,7 @@ def vertex_string(pi, lam, dual=False, max_vertices=DEFAULT_STRING_BOUND):
     if m > max_vertices:
         raise ValueError("string of %d vertices exceeds the bound %d"
                          % (m, max_vertices))
-    chain = string_chain(pi, m, dual=dual)
+    chain = string_chain(pi, (dual,) * m)
     window = {chain.vars[i]: (lam[i], lam[i]) for i in range(m)}
     res = apply_chain(chain, SymFunc.one(), window)
     val = res.get(lam)
@@ -608,93 +624,28 @@ class NormalProduct:
         return " ".join(bits)
 
 
-def _skew_by_rows_cols(pi, rows, cols):
-    """Skew the Schur function of pi by a product of one-row pieces (sizes
-    in `rows`) and one-column pieces (sizes in `cols`)."""
-    shape = SymFunc.schur(pi)
-    for part in [(k,) for k in rows if k] + [(1,) * k for k in cols if k]:
-        if not shape:
-            break
-        shape = shape.skew_by(part)
-    return shape
-
-
-def normal_ordered_string(pi, m, dual=False, varnames=None):
-    """Normal-ordered form of a product of m like vertex operators of
-    shape pi: polynomial prefactors (1 - zi^-1 zj) for i < j, all
-    multiplications moved left of all adjoints, and one cross-variable
-    adjoint factor per nonzero index tuple."""
-    pi = partition(pi)
+def normal_ordered_string(pi, duals, varnames=None):
+    """Normal-ordered form of the product of vertex operators of shape pi,
+    one per variable (annihilation where duals[i] is true; variables
+    z1..zm by default): prefactors (1 - zi^-1 zj) for i < j, all
+    multiplications left of all adjoints, and one cross-variable adjoint
+    per nonzero index tuple (see _vertex_factors).  Like kinds give the
+    polynomial prefactors; mixed kinds carry their inverse, kept symbolic,
+    and are only verified for two operators, so more are refused."""
+    duals = tuple(duals)
+    m = len(duals)
     if varnames is None:
         varnames = tuple("z%d" % (i + 1) for i in range(m))
-    nv = len(varnames)
-    prefactors = []
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            exps = [0] * nv
-            exps[i] = -1
-            exps[j] = 1
-            prefactors.append((tuple(exps), 1))
-    s1 = SymFunc.schur((1,))
-    factors = []
-    for i in range(nv):
-        exps = [0] * nv
-        exps[i] = 1
-        factors.append(make_factor("multiply", "L" if dual else "M",
-                                   s1, exps, varnames))
-    for i in range(nv):
-        exps = [0] * nv
-        exps[i] = -1
-        factors.append(make_factor("skew", "M" if dual else "L",
-                                   s1, exps, varnames))
-    top = (len(pi) if dual else (pi[0] if pi else 0))
-    for tup in product(range(top + 1), repeat=nv):
-        if not any(tup):
-            continue
-        if dual:
-            shape = _skew_by_rows_cols(pi, (), tup)
-            fam = "M" if sum(tup) % 2 == 1 else "L"
-        else:
-            shape = _skew_by_rows_cols(pi, tup, ())
-            fam = "L"
-        if shape:
-            factors.append(make_factor("skew", fam, shape, tup, varnames))
-    return NormalProduct(tuple(varnames), prefactors,
-                         FactorChain(tuple(varnames), factors))
-
-
-def normal_ordered_pair(pi, kinds, varnames=("z", "w")):
-    """Normal-ordered form of a two-vertex product; kinds is a pair drawn
-    from 'X' (creation) and 'Xstar' (annihilation).  Like kinds give the
-    polynomial prefactor (1 - z^-1 w); mixed kinds carry its inverse, kept
-    symbolic."""
-    pi = partition(pi)
-    a, b = (_kind_is_dual(k) for k in kinds)
-    if a == b:
-        return normal_ordered_string(pi, 2, dual=a, varnames=varnames)
-    s1 = SymFunc.schur((1,))
-    vs = tuple(varnames)
-    prefactors = [((-1, 1), -1)]
-    factors = [
-        make_factor("multiply", "L" if a else "M", s1, (1, 0), vs),
-        make_factor("multiply", "M" if a else "L", s1, (0, 1), vs),
-        make_factor("skew", "M" if a else "L", s1, (-1, 0), vs),
-        make_factor("skew", "L" if a else "M", s1, (0, -1), vs),
-    ]
-    # creation(z) * annihilation(w) grades rows by z and columns by w;
-    # annihilation(z) * creation(w) grades columns by z and rows by w
-    row_top, col_top = (pi[0] if pi else 0), len(pi)
-    z_top, w_top = (col_top, row_top) if a else (row_top, col_top)
-    for x in range(z_top + 1):
-        for y in range(w_top + 1):
-            if not (x or y):
-                continue
-            rows, cols = (y, x) if a else (x, y)
-            shape = _skew_by_rows_cols(pi, (rows,), (cols,))
-            if shape:
-                fam = "M" if cols % 2 == 1 else "L"
-                factors.append(make_factor("skew", fam, shape, (x, y), vs))
-    return NormalProduct(vs, prefactors, FactorChain(vs, factors))
+    varnames = tuple(varnames)
+    mixed = len(set(duals)) > 1
+    if mixed and m > 2:
+        raise ValueError("normal ordering of mixed kinds is only verified "
+                         "for two operators, got %d" % m)
+    prefactors = [(tuple(-1 if v == i else 1 if v == j else 0
+                         for v in range(m)), -1 if mixed else 1)
+                  for i in range(m) for j in range(i + 1, m)]
+    return NormalProduct(varnames, prefactors, FactorChain(
+        varnames, _vertex_factors(pi, duals, varnames)))
 
 
 # #### zero-mode calculus ####

@@ -6,14 +6,18 @@ before the plant can hide it, and requires a small suite run to report
 failures.
 """
 
+import json
 import sys
 
 import pytest
 
 from symvertex import oracle, schurring, verifier, vertexops
+from symvertex.cli import main
 from symvertex.schurring import PowerExpr
 from symvertex.verifier import (verify_clifford, verify_inverse_series,
-                                verify_reordering, verify_route_agreement)
+                                verify_multivertex, verify_reordering,
+                                verify_route_agreement)
+from symvertex.vertexops import Factor
 
 
 def _sign_forced_positive(orig):
@@ -70,6 +74,44 @@ def _last_candidate_dropped(orig):
     return planted
 
 
+def _last_pred_dropped(orig):
+    def planted(nu):
+        return orig(nu)[:-1]
+    return planted
+
+
+def _bounds_one_short(orig):
+    def planted(chain, state_degree, window):
+        rb, down, up = orig(chain, state_degree, window)
+        return [max(r - 1, 0) for r in rb], down, up
+    return planted
+
+
+def _sign_forced_positive_strips(orig):
+    def planted(lam, k):
+        return [(nu, 1) for nu, _ in orig(lam, k)]
+    return planted
+
+
+def _cross_factors_dropped(orig):
+    # keep the factors that move one variable only
+    def planted(pi, duals, varnames):
+        return [f for f in orig(pi, duals, varnames)
+                if sum(1 for e in f.exps if e) < 2]
+    return planted
+
+
+def _first_cross_family_flipped(orig):
+    # the cross skews of the operator in the first variable
+    flip = {"M": "L", "L": "M"}
+
+    def planted(pi, duals, varnames):
+        return [Factor(f.action, flip[f.family], f.shape, f.exps, f.label)
+                if f.action == "skew" and f.exps[0] > 0 else f
+                for f in orig(pi, duals, varnames)]
+    return planted
+
+
 def clifford_small():
     return verify_clifford(degree_bound=3, mode_range=(-2, 2))
 
@@ -81,6 +123,15 @@ def inverse_series_small():
 def route_agreement_small():
     return verify_route_agreement(pis=[(1,), (2,), (1, 1)], max_weight=3,
                                   include_vertex=False)
+
+
+def vertex_routes_small():
+    return verify_route_agreement(pis=[(1,), (2,), (1, 1)], max_weight=3,
+                                  include_oracle=False)
+
+
+def multivertex_small():
+    return verify_multivertex(pis=((2,), (2, 1)), ms=(2,), window=(-2, 2))
 
 
 def reordering_small():
@@ -110,6 +161,24 @@ FAULTS = [
     # products and the column rules look it up in schurring
     ("pieri-row-drops-last", schurring, "pieri_row",
      _last_candidate_dropped, reordering_small),
+    ("pieri-row-down-drops-last", schurring, "pieri_row_down",
+     _last_candidate_dropped, reordering_small),
+    ("border-strips-sign-positive", schurring, "border_strips",
+     _sign_forced_positive_strips, reordering_small),
+    ("plan-bounds-one-short", vertexops, "_termination_plan",
+     _bounds_one_short, reordering_small),
+    # decompose detects the broken tableau sum and raises; the suite
+    # records that as failed cases
+    ("horiz-preds-drops-last", oracle, "_horiz_preds",
+     _last_pred_dropped, route_agreement_small),
+    # string_chain and normal_ordered_string share the builder, so only
+    # the normal-ordered side loses its cross factors
+    ("cross-factors-dropped", vertexops, "_vertex_factors",
+     _cross_factors_dropped, multivertex_small),
+    # both sides of multivertex share the builder; the vertex route of
+    # theorem2 sees the fault
+    ("cross-family-flipped", vertexops, "_vertex_factors",
+     _first_cross_family_flipped, vertex_routes_small),
 ]
 
 
@@ -142,3 +211,18 @@ def test_planted_fault_is_caught(cold_memos, monkeypatch, module, attr,
 def test_unplanted_runs_pass(cold_memos):
     for run in {row[4] for row in FAULTS}:
         assert not run().failures
+
+
+def test_oracle_fault_is_a_failed_check(cold_memos, monkeypatch, capsys):
+    # a ValueError raised inside the oracle route fails its cases (exit
+    # 1); one raised by another route is still a bad request (exit 2)
+    monkeypatch.setattr(oracle, "_horiz_preds",
+                        _last_pred_dropped(oracle._horiz_preds))
+    argv = ["verify", "theorem2", "--timing", "none", "--format", "json"]
+    assert main(argv + ["--max-weight", "3"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["failures"]
+    assert all(set(rec["rhs"]) == {"error"} for rec in rep["failures"])
+    assert main(argv + ["--pi", "[]", "--max-weight", "3"]) == 2
+    assert main(argv + ["--pi", "[1]", "--max-weight", "5",
+                        "--max-length", "5"]) == 2

@@ -138,8 +138,8 @@ class TestFailureReplay:
              else SymFunc.schur((1,)))
         lo, hi = rec["inputs"]["window"]
         win = {"z%d" % (i + 1): (lo, hi) for i in range(m)}
-        lhs = apply_chain(string_chain(pi, m, dual=dual), f, win)
-        np = normal_ordered_string(pi, m, dual=dual)
+        lhs = apply_chain(string_chain(pi, (dual,) * m), f, win)
+        np = normal_ordered_string(pi, (dual,) * m)
         np = NormalProduct(np.vars, np.prefactors[1:], np.chain)
         rhs = np.apply(f, win)
         dl, dr = _laurent_diff(lhs, rhs)

@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 from symvertex.partitions import partitions_up_to, weight
 from symvertex.schurring import SymFunc
 from symvertex.vertexops import (ChargedState, FactorChain, LaurentMap,
-                                 ZeroModeNormalForm, _embed_chain,
-                                 _mode_memo, _stage_memo, _straighten,
+                                 ZeroModeNormalForm, _mode_memo,
+                                 _stage_memo, _straighten,
                                  _vertex_coefficient,
                                  annihilation_zero_word, anticommutator,
-                                 apply_chain, build_dual_vertex,
-                                 build_vertex, creation_zero_word,
-                                 make_factor, mode,
+                                 apply_chain, build_vertex,
+                                 creation_zero_word, make_factor, mode,
                                  multiply_one_minus_monomial,
-                                 normal_ordered_pair, normal_ordered_string,
-                                 normalize_window, string_chain,
-                                 vertex_string, zero_mode_normal_form)
+                                 normal_ordered_string, normalize_window,
+                                 string_chain, vertex_string,
+                                 zero_mode_normal_form)
 
 S = SymFunc.schur
 ONE = SymFunc.one()
@@ -61,7 +60,7 @@ class TestChainBuilders:
         ]
 
     def test_annihilation_row_three(self):
-        got = chain_summary(build_dual_vertex((3,)))
+        got = chain_summary(build_vertex((3,), dual=True))
         assert got == [
             ("multiply", "L", {(1,): 1}, (1,)),
             ("skew", "M", {(1,): 1}, (-1,)),
@@ -69,17 +68,36 @@ class TestChainBuilders:
         ]
 
     def test_annihilation_empty_shape(self):
-        got = chain_summary(build_dual_vertex(()))
+        got = chain_summary(build_vertex((), dual=True))
         assert got == [("multiply", "L", {(1,): 1}, (1,)),
                        ("skew", "M", {(1,): 1}, (-1,))]
 
     def test_annihilation_column_two(self):
-        got = chain_summary(build_dual_vertex((1, 1)))
+        got = chain_summary(build_vertex((1, 1), dual=True))
         assert got == [
             ("multiply", "L", {(1,): 1}, (1,)),
             ("skew", "M", {(1,): 1}, (-1,)),
             ("skew", "M", {(1,): 1}, (1,)),
             ("skew", "L", {(): 1}, (2,)),
+        ]
+
+    def test_mixed_normal_ordered_hook(self):
+        # creation in z1, annihilation in z2: cross skews by a z1-row and
+        # a z2-column, the row series exactly when the column is odd
+        npd = normal_ordered_string((2, 1), (False, True))
+        assert tuple(npd.prefactors) == (((-1, 1), -1),)
+        assert chain_summary(npd.chain) == [
+            ("multiply", "M", {(1,): 1}, (1, 0)),
+            ("multiply", "L", {(1,): 1}, (0, 1)),
+            ("skew", "L", {(1,): 1}, (-1, 0)),
+            ("skew", "M", {(1,): 1}, (0, -1)),
+            ("skew", "M", {(2,): 1, (1, 1): 1}, (0, 1)),
+            ("skew", "L", {(1,): 1}, (0, 2)),
+            ("skew", "L", {(2,): 1, (1, 1): 1}, (1, 0)),
+            ("skew", "M", {(1,): 2}, (1, 1)),
+            ("skew", "L", {(): 1}, (1, 2)),
+            ("skew", "L", {(1,): 1}, (2, 0)),
+            ("skew", "M", {(): 1}, (2, 1)),
         ]
 
 
@@ -100,8 +118,8 @@ class TestApplyChain:
         assert got.get((3,)) == S((3,)) - ONE
 
     def test_window_enlargement_is_invisible(self):
-        for chain in (build_vertex((2,)), build_dual_vertex((2, 1)),
-                      string_chain((2,), 2)):
+        for chain in (build_vertex((2,)), build_vertex((2, 1), dual=True),
+                      string_chain((2,), (False, False))):
             nv = len(chain.vars)
             small = {v: (-2, 2) for v in chain.vars}
             big = {v: (-4, 4) for v in chain.vars}
@@ -328,49 +346,49 @@ class TestZeroModes:
 
 class TestNormalOrdering:
     def test_like_kinds_route_through_string_form(self):
-        npd = normal_ordered_pair((2, 1), ("X", "X"), ("z", "w"))
-        direct = normal_ordered_string((2, 1), 2, varnames=("z", "w"))
+        # named variables only relabel the default z1, z2
+        npd = normal_ordered_string((2, 1), (False, False), ("z", "w"))
+        direct = normal_ordered_string((2, 1), (False, False))
         assert tuple(npd.prefactors) == tuple(direct.prefactors)
         assert chain_summary(npd.chain) == chain_summary(direct.chain)
+        assert repr(npd.chain.factors[0]) == "Factor(M(z))"
 
     def test_like_kind_prefactor(self):
-        npd = normal_ordered_string((2,), 2, varnames=("z", "w"))
+        npd = normal_ordered_string((2,), (False, False), ("z", "w"))
         assert tuple(npd.prefactors) == (((-1, 1), 1),)
 
     def test_mixed_pair_has_symbolic_inverse(self):
-        npd = normal_ordered_pair((2,), ("X", "Xstar"))
+        npd = normal_ordered_string((2,), (False, True), ("z", "w"))
         assert tuple(npd.prefactors) == (((-1, 1), -1),)
         with pytest.raises(ValueError):
             npd.apply(ONE, {"z": (-1, 1), "w": (-1, 1)})
+
+    def test_mixed_kinds_beyond_a_pair_refused(self):
+        with pytest.raises(ValueError):
+            normal_ordered_string((2,), (False, True, False))
 
     def test_like_kind_product_matches_direct_chain(self):
         for pi in ((), (2,), (1, 1)):
             for dual in (False, True):
                 win = {"z1": (-2, 2), "z2": (-2, 2)}
-                lhs = apply_chain(string_chain(pi, 2, dual=dual), S((1,)),
+                lhs = apply_chain(string_chain(pi, (dual, dual)), S((1,)),
                                   win)
-                rhs = normal_ordered_string(pi, 2, dual=dual).apply(
+                rhs = normal_ordered_string(pi, (dual, dual)).apply(
                     S((1,)), win)
                 assert lhs == rhs, (pi, dual)
 
     def test_mixed_pair_cross_multiplied(self):
-        for pi, kinds in (((2,), ("X", "Xstar")), ((2,), ("Xstar", "X")),
-                          ((2, 1), ("X", "Xstar"))):
+        for pi, duals in (((2,), (False, True)), ((2,), (True, False)),
+                          ((2, 1), (False, True))):
             vs = ("z", "w")
-            first = build_dual_vertex(pi) if kinds[0] == "Xstar" \
-                else build_vertex(pi)
-            second = build_dual_vertex(pi) if kinds[1] == "Xstar" \
-                else build_vertex(pi)
-            lhs_chain = FactorChain(vs, _embed_chain(first, 0, vs)
-                                    + _embed_chain(second, 1, vs))
             win = normalize_window({"z": (-2, 2), "w": (-2, 2)}, vs)
             pad = {"z": (-3, 3), "w": (-3, 3)}
             f = S((1,))
-            lhs = apply_chain(lhs_chain, f, pad)
+            lhs = apply_chain(string_chain(pi, duals, vs), f, pad)
             lhs = multiply_one_minus_monomial(lhs, (-1, 1)).restrict(win)
-            npd = normal_ordered_pair(pi, kinds, vs)
+            npd = normal_ordered_string(pi, duals, vs)
             rhs = apply_chain(npd.chain, f, win)
-            assert lhs == rhs, (pi, kinds)
+            assert lhs == rhs, (pi, duals)
 
 
 class TestLaurentAndStates:
