@@ -26,7 +26,14 @@ h_(n+i) e_i-adj, where B_n s_mu = s_(n, mu) is straightened by Jacobi-Trudi
 (Macdonald I.5 Ex. 29); the dual pair is (-1)^n omega B_n omega.  On s_lam
 the z^j coefficient is sum_e B_(j-e) S_e, S_e the z^e coefficient of the
 other (skew) factors; a stage infinite in e is cut at e <= j + |lam|,
-exactly, since B_n s_mu = 0 for n < -len(mu).
+exactly, since B_n s_mu = 0 for n < -len(mu).  Each (pi, kind) builds its
+chain once, in an internal memo: chains are mutable, so it is never
+handed out.
+
+Inner loops accumulate into plain {key: coeff} dicts -- {exps: {lam:
+coeff}} in apply_chain, {charge: {nu: coeff}} in modes and anticommutators
+-- calling the Schur pair kernels directly, and wrap a SymFunc or
+ChargedState once per result at the public boundary.
 """
 
 import sys
@@ -36,7 +43,8 @@ from types import MappingProxyType
 
 from .partitions import conjugate, partition, weight
 from .plethysm import series_term
-from .schurring import SymFunc, _LinComb, format_symfunc
+from .schurring import (SymFunc, _LinComb, format_symfunc, product_schur_pair,
+                         skew_schur_pair)
 
 
 # #### charged states ####
@@ -319,7 +327,11 @@ def _termination_plan(chain, state_degree, window):
 def apply_chain(chain, state, window):
     """Apply a factor chain to a SymFunc or ChargedState and collect the
     exact coefficient of every monomial inside the window (inclusive on
-    both ends).  Returns a LaurentMap."""
+    both ends).  Returns a LaurentMap.
+
+    The factors run on plain {exps: {lam: coeff}} dicts, and each value is
+    wrapped once at the end.  A ChargedState runs sector by sector under
+    the plan for its top degree: no factor moves charge."""
     w = normalize_window(window, chain.vars)
     nv = len(chain.vars)
     if not isinstance(state, (SymFunc, ChargedState)):
@@ -330,45 +342,63 @@ def apply_chain(chain, state, window):
     rb, down, up = _termination_plan(chain, state.degree(), w)
     lo = [w[v][0] for v in chain.vars]
     hi = [w[v][1] for v in chain.vars]
-    app = list(reversed(chain.factors))
-    cur = {(0,) * nv: state}
-    for u, f in enumerate(app):
-        step, cap = _self_bound(f)
-        # the box of exponents that later factors can still bring back
-        # into the window
-        lo_u = [lo[v] - up[u + 1][v] for v in range(nv)]
-        hi_u = [hi[v] + down[u + 1][v] for v in range(nv)]
-        nxt = {}
-        for exps, val in cur.items():
-            if step:
-                rmax = val.degree() // step
-            elif cap is not None:
-                rmax = cap
-            else:
-                rmax = rb[u]
-                for v, e in enumerate(f.exps):
+    # per factor in application order: the box of exponents that later
+    # factors can still bring back into the window
+    stages = [(f, _self_bound(f), rb[u],
+               [lo[v] - up[u + 1][v] for v in range(nv)],
+               [hi[v] + down[u + 1][v] for v in range(nv)])
+              for u, f in enumerate(reversed(chain.factors))]
+
+    def run(coeffs):
+        cur = {(0,) * nv: coeffs}
+        for f, (step, cap), rmax, lo_u, hi_u in stages:
+            mult = f.action == "multiply"
+            pair = product_schur_pair if mult else skew_schur_pair
+            nxt = {}
+            for exps, val in cur.items():
+                # the r whose exponent x + r*e stays inside the box
+                rlo = 0
+                rhi = (max(map(sum, val)) // step if step
+                       else cap if cap is not None else rmax)
+                for x, e, low, high in zip(exps, f.exps, lo_u, hi_u):
                     if e > 0:
-                        rmax = min(rmax, (hi_u[v] - exps[v]) // e)
+                        rlo = max(rlo, -((x - low) // e))
+                        rhi = min(rhi, (high - x) // e)
                     elif e < 0:
-                        rmax = min(rmax, (exps[v] - lo_u[v]) // (-e))
-            for r in range(rmax + 1):
-                term = f.term(r)
-                if not term:
-                    continue
-                ne = tuple(x + r * e for x, e in zip(exps, f.exps))
-                if not all(a <= x <= b for a, x, b in zip(lo_u, ne, hi_u)):
-                    continue
-                if f.action == "multiply":
-                    nv_val = val * term
-                else:
-                    nv_val = val.skew_by(term)
-                if nv_val:
-                    nxt[ne] = nxt.get(ne, 0) + nv_val
-        cur = {e: v for e, v in nxt.items() if v}
-        if not cur:
-            break
-    out.data = {e: val for e, val in cur.items()
+                        rlo = max(rlo, -((high - x) // -e))
+                        rhi = min(rhi, (x - low) // -e)
+                    elif not low <= x <= high:
+                        rhi = -1
+                for r in range(rlo, rhi + 1):
+                    term = series_term(f.family, f.shape, r).c
+                    if not term:
+                        continue
+                    acc = nxt.setdefault(
+                        tuple(x + r * e for x, e in zip(exps, f.exps)), {})
+                    left, right = (val, term) if mult else (term, val)
+                    for k, a in left.items():
+                        for j, b in right.items():
+                            ab = a * b
+                            for key, m in pair(k, j).items():
+                                acc[key] = acc.get(key, 0) + ab * m
+            cur = {}
+            for e, d in nxt.items():
+                d = {k: v for k, v in d.items() if v}
+                if d:
+                    cur[e] = d
+            if not cur:
+                break
+        return {e: SymFunc._new(d) for e, d in cur.items()
                 if all(a <= x <= b for a, x, b in zip(lo, e, hi))}
+
+    if isinstance(state, SymFunc):
+        out.data = run(state.c)
+        return out
+    by_exps = {}
+    for c, f in state.c.items():
+        for e, val in run(f.c).items():
+            by_exps.setdefault(e, {})[c] = val
+    out.data = {e: ChargedState._new(s) for e, s in by_exps.items()}
     return out
 
 
@@ -470,6 +500,14 @@ def vertex_string(pi, lam, dual=False, max_vertices=DEFAULT_STRING_BOUND):
 _mode_memo = {}
 _stage_memo = {}  # (pi, dual, lam) -> _skew_stage
 _plan_checked = set()  # (pi, dual, |lam|, j) whose chain plan did not refuse
+_chain_memo = {}  # (pi, dual) -> build_vertex chain; internal: chains mutate
+
+
+def _vertex_chain(pi, dual):
+    chain = _chain_memo.get((pi, dual))
+    if chain is None:
+        chain = _chain_memo[pi, dual] = build_vertex(pi, dual=dual)
+    return chain
 
 
 def _straighten(n, mu):
@@ -478,7 +516,11 @@ def _straighten(n, mu):
     larger beta-numbers mu_i + l - i, whose rows lose a box each; row a
     gets n + a boxes, and the sign is (-1)^a.  A collision or n + l < 0
     gives 0."""
-    a = sum(x - i > n + 1 for i, x in enumerate(mu))
+    a = 0
+    for x in mu:  # mu_i - i strictly decreases: the larger ones lead
+        if x - a <= n + 1:
+            break
+        a += 1
     if n + a < 0 or mu[a:a + 1] == (n + a + 1,):
         return None
     nu = tuple(x - 1 for x in mu[:a]) + (n + a,) + mu[a:]
@@ -486,21 +528,25 @@ def _straighten(n, mu):
 
 
 def _skew_stage(pi, dual, lam):
-    """build_vertex(pi, dual).factors[2:] applied to s_lam, as ({e: z^e
-    coefficient}, period); memoized.  The row series on 1, for a dual odd
-    column of height k, is sum_r z^(kr) times the identity, infinite in e:
-    it is left to the caller as period k.  Every other factor is bounded by
-    degree or by a finite series, so the window never cuts them."""
+    """build_vertex(pi, dual).factors[2:] applied to s_lam, as ({e: {mu:
+    coeff}}, period) over the z^e coefficients; memoized.  For the dual
+    kind every mu is conjugated, as it is straightened in that form.  The
+    row series on 1, for a dual odd column of height k, is sum_r z^(kr)
+    times the identity, infinite in e: it is left to the caller as period
+    k.  Every other factor is bounded by degree or by a finite series, so
+    the window never cuts them."""
     key = (pi, dual, lam)
     if key not in _stage_memo:
-        chain = build_vertex(pi, dual=dual)
+        chain = _vertex_chain(pi, dual)
         ones = [f for f in chain.factors[2:]
                 if f.family == "M" and f.shape == SymFunc.one()]
         skews = [f for f in chain.factors[2:] if f not in ones]
         period = ones[0].exps[0] if ones else 0
         res = apply_chain(FactorChain(chain.vars, skews), SymFunc.schur(lam),
                           (0, sys.maxsize))
-        _stage_memo[key] = {e: v for (e,), v in res.data.items()}, period
+        _stage_memo[key] = {
+            e: {(conjugate(mu) if dual else mu): c for mu, c in v.c.items()}
+            for (e,), v in res.data.items()}, period
     return _stage_memo[key]
 
 
@@ -510,7 +556,8 @@ def _vertex_coefficient(pi, dual, j, lam):
     result's coefficient map is a read-only view of the memo entry.
 
     It is sum_e B_(j-e) S_e over the z^e coefficients S_e of _skew_stage,
-    each B_n s_mu one _straighten term (dual: (-1)^n omega B_n omega); a
+    each B_n s_mu one _straighten term (dual: (-1)^n omega B_n omega, the
+    inner omega held by the stage, the outer applied once to the sum); a
     periodic stage is cut at e <= j + |lam|: B_n s_mu = 0 for n < -len(mu).
     The chain's plan runs once per (pi, dual, |lam|, j) for its refusals."""
     key = (pi, dual, j, lam)
@@ -519,19 +566,19 @@ def _vertex_coefficient(pi, dual, j, lam):
         return found
     d = weight(lam)
     if (pi, dual, d, j) not in _plan_checked:
-        _termination_plan(build_vertex(pi, dual=dual), d, {"z": (j, j)})
+        _termination_plan(_vertex_chain(pi, dual), d, {"z": (j, j)})
         _plan_checked.add((pi, dual, d, j))
     stage, period = _skew_stage(pi, dual, lam)
     acc = {}
     for e0, val in stage.items():
         for e in range(e0, j + d + 1, period) if period else (e0,):
-            for mu, c in val.c.items():
-                t = _straighten(j - e, conjugate(mu) if dual else mu)
+            flip = -1 if dual and (j - e) % 2 else 1
+            for mu, c in val.items():
+                t = _straighten(j - e, mu)
                 if t:
-                    sign, nu = t
-                    if dual:
-                        sign, nu = sign * (-1) ** ((j - e) % 2), conjugate(nu)
-                    acc[nu] = acc.get(nu, 0) + sign * c
+                    acc[t[1]] = acc.get(t[1], 0) + flip * t[0] * c
+    if dual:
+        acc = {conjugate(nu): c for nu, c in acc.items()}
     val = SymFunc._new(acc)
     val.c = MappingProxyType(val.c)
     _mode_memo[key] = val
@@ -546,6 +593,30 @@ def _kind_is_dual(kind):
     raise ValueError("kind must be 'X' or 'Xstar'")
 
 
+def _mode_into(out, pi, dual, m, sectors):
+    """Add mode m of the (pi, dual) family, applied to sectors {charge:
+    {lam: coeff}}, into out {charge: {nu: coeff}}; returns out.  Zero
+    coefficients are skipped, so an unwrapped result can be fed back."""
+    for c, f in sectors.items():
+        j = (c - 1 - m) if dual else (-m - c)
+        acc = out.setdefault((c - 1) if dual else (c + 1), {})
+        for lam, co in f.items():
+            if co:
+                for nu, v in _vertex_coefficient(pi, dual, j, lam).c.items():
+                    acc[nu] = acc.get(nu, 0) + co * v
+    return out
+
+
+def _state_sectors(state):
+    if not isinstance(state, ChargedState):
+        raise TypeError("mode acts on a ChargedState")
+    return {c: f.c for c, f in state.c.items()}
+
+
+def _wrap_sectors(sectors):
+    return ChargedState._new({c: SymFunc._new(d) for c, d in sectors.items()})
+
+
 def mode(pi, kind, m, state):
     """Mode m of the creation ('X') or annihilation ('Xstar') operator
     family of shape pi, acting on a ChargedState.
@@ -557,17 +628,7 @@ def mode(pi, kind, m, state):
     """
     pi = partition(pi)
     dual = _kind_is_dual(kind)
-    if not isinstance(state, ChargedState):
-        raise TypeError("mode acts on a ChargedState")
-    out = {}
-    for c, f in state.c.items():
-        j = (c - 1 - m) if dual else (-m - c)
-        acc = {}
-        for lam, co in f.c.items():
-            for nu, v in _vertex_coefficient(pi, dual, j, lam).c.items():
-                acc[nu] = acc.get(nu, 0) + co * v
-        out[(c - 1) if dual else (c + 1)] = SymFunc._new(acc)
-    return ChargedState._new(out)
+    return _wrap_sectors(_mode_into({}, pi, dual, m, _state_sectors(state)))
 
 
 def anticommutator(pi, kind_a, m, kind_b, n, state, pi_b=None):
@@ -578,9 +639,14 @@ def anticommutator(pi, kind_a, m, kind_b, n, state, pi_b=None):
     if pi_b is not None and partition(pi_b) != partition(pi):
         raise ValueError("anticommutator needs matching shapes, got %r / %r"
                          % (pi, pi_b))
-    first = mode(pi, kind_a, m, mode(pi, kind_b, n, state))
-    second = mode(pi, kind_b, n, mode(pi, kind_a, m, state))
-    return first + second
+    pi = partition(pi)
+    dual_b = _kind_is_dual(kind_b)
+    sectors = _state_sectors(state)
+    dual_a = _kind_is_dual(kind_a)
+    out = _mode_into({}, pi, dual_a, m,
+                     _mode_into({}, pi, dual_b, n, sectors))
+    _mode_into(out, pi, dual_b, n, _mode_into({}, pi, dual_a, m, sectors))
+    return _wrap_sectors(out)
 
 
 # #### normal-ordered products ####

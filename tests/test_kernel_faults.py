@@ -112,6 +112,29 @@ def _first_cross_family_flipped(orig):
     return planted
 
 
+def _charge_offset(dual, shift):
+    # one kind's result lands one charge step too far: creation at c + 2,
+    # annihilation at c - 2
+    def wrapper(orig):
+        def planted(out, pi, d, m, sectors):
+            if d != dual:
+                return orig(out, pi, d, m, sectors)
+            for c, acc in orig({}, pi, d, m, sectors).items():
+                tgt = out.setdefault(c + shift, {})
+                for nu, v in acc.items():
+                    tgt[nu] = tgt.get(nu, 0) + v
+            return out
+        return planted
+    return wrapper
+
+
+def _one_part_class_negated(orig):
+    def planted(lam, rho):
+        val = orig(lam, rho)
+        return -val if len(rho) == 1 and rho[0] >= 2 else val
+    return planted
+
+
 def clifford_small():
     return verify_clifford(degree_bound=3, mode_range=(-2, 2))
 
@@ -148,6 +171,11 @@ FAULTS = [
      _negative_terms_dropped, clifford_small),
     ("mode-extraction-off-by-one", vertexops, "_vertex_coefficient",
      _extraction_off_by_one, clifford_small),
+    # mode and anticommutator look the helper up in vertexops
+    ("mode-creation-charge-offset", vertexops, "_mode_into",
+     _charge_offset(False, 1), clifford_small),
+    ("mode-annihilation-charge-offset", vertexops, "_mode_into",
+     _charge_offset(True, -1), clifford_small),
     ("power-mul-scale-dropped", verifier, "_power_mul_into",
      _scale_dropped, inverse_series_small),
     ("power-substitute-part-scaled", verifier, "power_substitute",
@@ -155,6 +183,10 @@ FAULTS = [
     # the recursion looks itself up in schurring, so every level is planted
     ("from-power-constant-skipped", schurring, "_from_power_int",
      _constant_term_skipped, inverse_series_small),
+    # the recursion looks itself up in schurring; only the series cases
+    # of the suite see it
+    ("charvalue-one-part-negated", schurring, "charvalue",
+     _one_part_class_negated, inverse_series_small),
     # both kernels and the shape series are built by this one routine
     ("series-factors-one-degree-short", oracle, "_series_factor_layers",
      _truncated_one_short, route_agreement_small),

@@ -1,3 +1,7 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import symvertex
 
 
@@ -8,3 +12,26 @@ def test_public_names_resolve():
                if not hasattr(symvertex, name)]
     assert not missing
     assert len(set(symvertex.__all__)) == len(symvertex.__all__)
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracing.py wraps these names by string; a rename would
+    # only show when someone runs the benchmark with --trace 1.  The
+    # tracer is loaded, not installed.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for modname, attr, _, memo in tracing.TARGETS:
+        mod = importlib.import_module("symvertex." + modname)
+        obj = mod
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append("%s.%s" % (modname, attr))
+        if memo is not None and not isinstance(getattr(mod, memo, None),
+                                               dict):
+            missing.append("%s.%s" % (modname, memo))
+    assert not missing
+    assert {t[0] for t in tracing.TARGETS} <= set(tracing.MODULES)

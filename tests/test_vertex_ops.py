@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -6,10 +7,12 @@ from hypothesis import strategies as st
 
 from symvertex.partitions import partitions_up_to, weight
 from symvertex.schurring import SymFunc
+from symvertex.verifier import (DEFAULT_CLIFFORD_PIS, REORDERING_CASES,
+                                _reordering_sides)
 from symvertex.vertexops import (ChargedState, FactorChain, LaurentMap,
                                  ZeroModeNormalForm, _mode_memo,
-                                 _stage_memo, _straighten,
-                                 _vertex_coefficient,
+                                 _self_bound, _stage_memo, _straighten,
+                                 _termination_plan, _vertex_coefficient,
                                  annihilation_zero_word, anticommutator,
                                  apply_chain, build_vertex,
                                  creation_zero_word, make_factor, mode,
@@ -80,6 +83,35 @@ class TestChainBuilders:
             ("skew", "M", {(1,): 1}, (1,)),
             ("skew", "L", {(): 1}, (2,)),
         ]
+
+    # one-operator chains of the remaining default clifford shapes
+    @pytest.mark.parametrize("pi, dual, want", [
+        ((2,), False, [("multiply", "M", {(1,): 1}, (1,)),
+                       ("skew", "L", {(1,): 1}, (-1,)),
+                       ("skew", "L", {(1,): 1}, (1,)),
+                       ("skew", "L", {(): 1}, (2,))]),
+        ((4,), False, [("multiply", "M", {(1,): 1}, (1,)),
+                       ("skew", "L", {(1,): 1}, (-1,)),
+                       ("skew", "L", {(3,): 1}, (1,)),
+                       ("skew", "L", {(2,): 1}, (2,)),
+                       ("skew", "L", {(1,): 1}, (3,)),
+                       ("skew", "L", {(): 1}, (4,))]),
+        ((1, 1), False, [("multiply", "M", {(1,): 1}, (1,)),
+                         ("skew", "L", {(1,): 1}, (-1,)),
+                         ("skew", "L", {(1,): 1}, (1,))]),
+        ((2,), True, [("multiply", "L", {(1,): 1}, (1,)),
+                      ("skew", "M", {(1,): 1}, (-1,)),
+                      ("skew", "M", {(1,): 1}, (1,))]),
+        ((4,), True, [("multiply", "L", {(1,): 1}, (1,)),
+                      ("skew", "M", {(1,): 1}, (-1,)),
+                      ("skew", "M", {(3,): 1}, (1,))]),
+        ((2, 1), True, [("multiply", "L", {(1,): 1}, (1,)),
+                        ("skew", "M", {(1,): 1}, (-1,)),
+                        ("skew", "M", {(2,): 1, (1, 1): 1}, (1,)),
+                        ("skew", "L", {(1,): 1}, (2,))]),
+    ])
+    def test_default_clifford_shapes(self, pi, dual, want):
+        assert chain_summary(build_vertex(pi, dual=dual)) == want
 
     def test_mixed_normal_ordered_hook(self):
         # creation in z1, annihilation in z2: cross skews by a z1-row and
@@ -298,6 +330,164 @@ class TestAnticommutator:
             anticommutator((2,), "X", 0, "Xstar", 0, st0, pi_b=(1, 1))
         got = anticommutator((2,), "X", 0, "Xstar", 0, st0, pi_b=(2,))
         assert got == st0
+
+
+# apply_chain, mode and anticommutator as they ran before the vertex layer
+# moved onto plain coefficient dicts, with SymFunc and ChargedState
+# arithmetic per term, kept as references
+
+
+def ref_apply_chain(chain, state, window):
+    w = normalize_window(window, chain.vars)
+    nv = len(chain.vars)
+    out = LaurentMap(chain.vars)
+    if not state:
+        return out
+    rb, down, up = _termination_plan(chain, state.degree(), w)
+    lo = [w[v][0] for v in chain.vars]
+    hi = [w[v][1] for v in chain.vars]
+    app = list(reversed(chain.factors))
+    cur = {(0,) * nv: state}
+    for u, f in enumerate(app):
+        step, cap = _self_bound(f)
+        lo_u = [lo[v] - up[u + 1][v] for v in range(nv)]
+        hi_u = [hi[v] + down[u + 1][v] for v in range(nv)]
+        nxt = {}
+        for exps, val in cur.items():
+            if step:
+                rmax = val.degree() // step
+            elif cap is not None:
+                rmax = cap
+            else:
+                rmax = rb[u]
+                for v, e in enumerate(f.exps):
+                    if e > 0:
+                        rmax = min(rmax, (hi_u[v] - exps[v]) // e)
+                    elif e < 0:
+                        rmax = min(rmax, (exps[v] - lo_u[v]) // (-e))
+            for r in range(rmax + 1):
+                term = f.term(r)
+                if not term:
+                    continue
+                ne = tuple(x + r * e for x, e in zip(exps, f.exps))
+                if not all(a <= x <= b for a, x, b in zip(lo_u, ne, hi_u)):
+                    continue
+                if f.action == "multiply":
+                    nv_val = val * term
+                else:
+                    nv_val = val.skew_by(term)
+                if nv_val:
+                    nxt[ne] = nxt.get(ne, 0) + nv_val
+        cur = {e: v for e, v in nxt.items() if v}
+        if not cur:
+            break
+    out.data = {e: val for e, val in cur.items()
+                if all(a <= x <= b for a, x, b in zip(lo, e, hi))}
+    return out
+
+
+def ref_mode(pi, kind, m, state):
+    dual = kind == "Xstar"
+    out = {}
+    for c, f in state.c.items():
+        j = (c - 1 - m) if dual else (-m - c)
+        acc = {}
+        for lam, co in f.c.items():
+            for nu, v in _vertex_coefficient(pi, dual, j, lam).c.items():
+                acc[nu] = acc.get(nu, 0) + co * v
+        out[(c - 1) if dual else (c + 1)] = SymFunc._new(acc)
+    return ChargedState._new(out)
+
+
+def ref_anticommutator(pi, kind_a, m, kind_b, n, state):
+    return (ref_mode(pi, kind_a, m, ref_mode(pi, kind_b, n, state))
+            + ref_mode(pi, kind_b, n, ref_mode(pi, kind_a, m, state)))
+
+
+def exact_values(value):
+    """Every coefficient is an int or a non-integral Fraction."""
+    if isinstance(value, LaurentMap):
+        return all(exact_values(v) for v in value.data.values())
+    if isinstance(value, ChargedState):
+        return all(exact_values(f) for f in value.c.values())
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in value.c.values())
+
+
+FRACTION_STATE = ChargedState({
+    -1: S((1,)).scale(Fraction(1, 3)) + S((2, 1)).scale(Fraction(-5, 7)),
+    0: ONE.scale(2) + S((1, 1)).scale(Fraction(3, 2)),
+    2: S((2,)).scale(Fraction(-1, 2))})
+
+
+class TestPlainDictReferences:
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("pi", DEFAULT_CLIFFORD_PIS)
+    def test_vertex_chains(self, pi, dual):
+        chain = build_vertex(pi, dual=dual)
+        for window in [(-w, w) for w in range(5)] + [(-4, -1), (1, 4)]:
+            for lam in partitions_up_to(4):
+                got = apply_chain(chain, S(lam), {"z": window})
+                assert got == ref_apply_chain(chain, S(lam), {"z": window}), \
+                    (window, lam)
+                assert exact_values(got)
+
+    @pytest.mark.parametrize("case", REORDERING_CASES)
+    def test_reordering_sides(self, case):
+        for pi in partitions_up_to(3)[1:]:
+            for chain in _reordering_sides(case, pi):
+                for window in ((0, 4), (-2, 2)):
+                    win = {"z": window, "w": window}
+                    for lam in partitions_up_to(3):
+                        got = apply_chain(chain, S(lam), win)
+                        assert got == ref_apply_chain(chain, S(lam), win), \
+                            (pi, window, lam)
+                        assert exact_values(got)
+
+    @pytest.mark.parametrize("pi", [(), (2,), (1, 1), (2, 1)])
+    def test_two_operator_strings(self, pi):
+        win = {"z1": (-3, 3), "z2": (-3, 3)}
+        for duals in product((False, True), repeat=2):
+            chain = string_chain(pi, duals)
+            for f in (ONE, S((1,)), S((2, 1))):
+                got = apply_chain(chain, f, win)
+                assert got == ref_apply_chain(chain, f, win), (duals, f)
+                assert exact_values(got)
+
+    def test_charged_fraction_state(self):
+        chains = [build_vertex(pi, dual=dual)
+                  for pi in ((2,), (1, 1), (2, 1)) for dual in (False, True)]
+        chains.append(string_chain((2,), (False, True)))
+        for chain in chains:
+            got = apply_chain(chain, FRACTION_STATE, 3)
+            assert got == ref_apply_chain(chain, FRACTION_STATE, 3), chain
+            assert got and exact_values(got)
+
+    def test_anticommutator_on_small_clifford_range(self):
+        lams = partitions_up_to(3)
+        for pi in DEFAULT_CLIFFORD_PIS:
+            for ka, kb in (("X", "X"), ("Xstar", "Xstar"), ("X", "Xstar")):
+                for m in range(-2, 3):
+                    for n in range(-2, 3):
+                        for lam in lams:
+                            for c in (-1, 0, 1):
+                                st0 = ChargedState.vacuum(c, S(lam))
+                                got = anticommutator(pi, ka, m, kb, n, st0)
+                                assert got == ref_anticommutator(
+                                    pi, ka, m, kb, n, st0)
+                                assert exact_values(got)
+
+    @pytest.mark.parametrize("pi", DEFAULT_CLIFFORD_PIS)
+    def test_modes_on_fraction_state(self, pi):
+        for kind in ("X", "Xstar"):
+            for m in range(-3, 4):
+                got = mode(pi, kind, m, FRACTION_STATE)
+                assert got == ref_mode(pi, kind, m, FRACTION_STATE), m
+                assert exact_values(got)
+                got = anticommutator(pi, kind, m, "Xstar", -m, FRACTION_STATE)
+                assert got == ref_anticommutator(pi, kind, m, "Xstar", -m,
+                                                 FRACTION_STATE), m
+                assert exact_values(got)
 
 
 class TestVertexString:
