@@ -411,7 +411,7 @@ def build_parser():
     q.add_argument("--family", choices=("M", "L"), required=True)
     q.add_argument("--shape", type=_t_partition, required=True)
     q.add_argument("--skew", type=_t_partition)
-    q.add_argument("--max-r", dest="max_r", type=int, required=True)
+    q.add_argument("--max-r", dest="max_r", type=_t_count, required=True)
     q.set_defaults(run=_run_series)
 
     q = sub.add_parser("mode", parents=[common])

@@ -14,6 +14,18 @@ from .schurring import SymFunc
 from .vertexops import ChargedState, LaurentMap
 
 
+def _field(rec, name, convert):
+    """convert(rec[name]); a ValueError names the field when rec is not an
+    object holding it or convert rejects its value."""
+    if not isinstance(rec, dict) or name not in rec:
+        raise ValueError("expected an object with a %r field, got %s"
+                         % (name, json.dumps(rec)))
+    try:
+        return convert(rec[name])
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise ValueError("field %r: %s" % (name, e))
+
+
 # #### SymFunc ####
 
 def symfunc_to_obj(f):
@@ -33,8 +45,9 @@ def symfunc_from_obj(obj):
         raise ValueError("a symmetric function serializes as a list of terms")
     d = {}
     for rec in obj:
-        lam = partition(rec["partition"])
-        c = Fraction(int(rec["num"]), int(rec["den"]))
+        lam = _field(rec, "partition", partition)
+        num = _field(rec, "num", int)
+        c = _field(rec, "den", lambda den: Fraction(num, int(den)))
         if lam in d:
             raise ValueError("duplicate partition %r in input" % (lam,))
         d[lam] = c
@@ -49,14 +62,12 @@ def state_to_obj(state):
 
 
 def state_from_obj(obj):
-    if not isinstance(obj, dict) or "sectors" not in obj:
-        raise ValueError('a charged state serializes as {"sectors": [...]}')
     sectors = {}
-    for rec in obj["sectors"]:
-        c = int(rec["charge"])
+    for rec in _field(obj, "sectors", list):
+        c = _field(rec, "charge", int)
         if c in sectors:
             raise ValueError("duplicate charge %d in input" % c)
-        sectors[c] = symfunc_from_obj(rec["value"])
+        sectors[c] = _field(rec, "value", symfunc_from_obj)
     return ChargedState(sectors)
 
 

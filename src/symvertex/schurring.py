@@ -447,21 +447,9 @@ def format_symfunc(f):
 
 # #### the power-sum basis ####
 
-def _power_mul_into(d, x, y, c):
-    """Add c*x*y into d and return d, for {rho: value} dicts of power-sum
-    monomials: one key merge per term pair.  Zeros and integral Fractions
-    stay until PowerExpr._new normalises the finished sum."""
-    for rho, a in x.items():
-        a *= c
-        for tau, b in y.items():
-            kappa = tuple(sorted(rho + tau, reverse=True))
-            d[kappa] = d.get(kappa, 0) + a * b
-    return d
-
-
 class PowerExpr(_LinComb):
     """A finite linear combination of power-sum monomials.  Multiplication
-    just merges indexing partitions, in _power_mul_into."""
+    just merges indexing partitions."""
 
     __slots__ = ()
 
@@ -470,7 +458,12 @@ class PowerExpr(_LinComb):
             return self.scale(other)
         if not isinstance(other, PowerExpr):
             return NotImplemented
-        return self._new(_power_mul_into({}, self.c, other.c, 1))
+        d = {}
+        for rho, a in self.c.items():
+            for tau, b in other.c.items():
+                kappa = tuple(sorted(rho + tau, reverse=True))
+                d[kappa] = d.get(kappa, 0) + a * b
+        return self._new(d)
 
     def __repr__(self):
         if not self.c:

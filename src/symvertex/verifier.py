@@ -6,7 +6,8 @@ Each suite's defaults live in its signature alone; callers override them
 by keyword.  Suites run serially: `jobs` is accepted for existing callers
 but ignored, since threads only slowed this GIL-bound work.  Every suite
 takes perturb=True, which wires in one deliberate mutation that must
-produce failures — a guard against vacuous passes.
+produce failures — a guard against vacuous passes.  inverse-series keys
+power-sum monomials by integer codes: a product of two is one addition.
 """
 
 import time
@@ -21,8 +22,7 @@ from .partitions import (conjugate, format_partition, hooks_inside, partition,
 from .plethysm import (cauchy_dual_pi_schur, cauchy_pi_schur, dual_pi_schur,
                        pi_branch, pi_schur, pi_unbranch, power_substitute,
                        series_term)
-from .schurring import (PowerExpr, SymFunc, _norm_coeff, _power_mul_into,
-                         to_power)
+from .schurring import SymFunc, _norm_coeff, to_power
 from .vertexops import (ChargedState, FactorChain, LaurentMap, NormalProduct,
                         annihilation_zero_word, anticommutator, apply_chain,
                         creation_zero_word, make_factor,
@@ -281,6 +281,9 @@ def verify_clifford(pis=DEFAULT_CLIFFORD_PIS, mode_range=(-3, 3),
                     for lam in lams:
                         for c in charges:
                             keys.append((pi, rel, m, n, lam, c))
+    states = {(lam, c): ChargedState.vacuum(c, SymFunc.schur(lam))
+              for lam in lams for c in charges}
+    zero = ChargedState()
     # the deliberate mutation reads the extraction index off the shifted
     # charge, which is the mode one index up
     s = 1 if perturb else 0
@@ -288,9 +291,9 @@ def verify_clifford(pis=DEFAULT_CLIFFORD_PIS, mode_range=(-3, 3),
     def case_fn(key):
         pi, rel, m, n, lam, c = key
         ka, kb = _CLIFFORD_RELATIONS[rel]
-        st = ChargedState.vacuum(c, SymFunc.schur(lam))
+        st = states[lam, c]
         got = anticommutator(pi, ka, m + s, kb, n + s, st)
-        expected = st if (rel == "mixed" and m + n == 0) else ChargedState()
+        expected = st if (rel == "mixed" and m + n == 0) else zero
         if got == expected:
             return None
         return {"inputs": {"pi": format_partition(pi), "relation": rel,
@@ -425,11 +428,34 @@ def verify_route_agreement(pis=None, max_weight=6, max_length=3,
 
 # #### suite: inverse series ####
 
+def _pack(rho, bits):
+    """The code of the power-sum monomial p_rho: the multiplicity of part x
+    in the bits-wide field x-1.  With every multiplicity below 2^bits,
+    codes are distinct and p_rho p_tau has code _pack(rho) + _pack(tau)."""
+    return sum(1 << bits * (x - 1) for x in rho)
+
+
+def _unpack(code, bits):
+    """The partition rho with _pack(rho, bits) == code."""
+    mask = (1 << bits) - 1
+    return tuple(x for x in range(code.bit_length() // bits + 1, 0, -1)
+                 for _ in range(code >> bits * (x - 1) & mask))
+
+
+def _mul_into(d, x, y, c):
+    """Add c*x*y into d and return d, for {_pack code: value} dicts."""
+    for u, a in x.items():
+        a *= c
+        for v, b in y.items():
+            d[u + v] = d.get(u + v, 0) + a * b
+    return d
+
+
 def _series_power_terms(shape, rmax):
-    """(row, col, den): the degree-r terms of the row series and of the
-    signed column series of the shape, r <= rmax, in the power-sum basis
-    and scaled to integers.  den is the LCM of the denominators of
-    to_power(shape), and
+    """(row, col, den, bits): the degree-r terms of the row series and of
+    the signed column series of the shape, r <= rmax, in the power-sum
+    basis, scaled to integers and keyed by _pack codes of width bits.  den
+    is the LCM of the denominators of to_power(shape), and
 
         row[r] = r! den^r h_r[shape],   col[r] = r! den^r (-1)^r e_r[shape].
 
@@ -439,60 +465,33 @@ def _series_power_terms(shape, rmax):
 
         row[r] = sum_{k=1..r} (r-1)!/(r-k)! den^(k-1) Q_k row[r-k],
 
-    and col[r] is the same sum over col with the sign flipped.  Both run on
-    plain dicts, fused: one key merge per pair of monomials of Q_k and of
-    row[r-k] or col[r-k] feeds both sums."""
+    and col[r] is the same sum over col with the sign flipped.  No part or
+    multiplicity of a monomial of degree r <= rmax exceeds rmax*deg(shape),
+    which fixes bits."""
     gp = to_power(shape)
     den = lcm(*(a.denominator for a in gp.c.values()))
+    bits = (rmax * max(gp.degree(), 1)).bit_length()
     gq = gp.scale(den)
-    qs = [None] + [power_substitute(k, gq) for k in range(1, rmax + 1)]
-    row = [PowerExpr.one()]
-    col = [PowerExpr.one()]
+    qs = [None] + [{_pack(rho, bits): a
+                    for rho, a in power_substitute(k, gq).c.items()}
+                   for k in range(1, rmax + 1)]
+    row, col = [{0: 1}], [{0: 1}]
     for r in range(1, rmax + 1):
-        acc_row, acc_col = {}, {}
+        row.append({})
+        col.append({})
         for k in range(1, r + 1):
             s = factorial(r - 1) // factorial(r - k) * den ** (k - 1)
-            x, y = row[r - k].c, col[r - k].c
-            both = [(tau, x.get(tau, 0), y.get(tau, 0))
-                    for tau in x.keys() | y.keys()]
-            for rho, q in qs[k].c.items():
-                q *= s
-                for tau, a, b in both:
-                    kappa = tuple(sorted(rho + tau, reverse=True))
-                    acc_row[kappa] = acc_row.get(kappa, 0) + q * a
-                    acc_col[kappa] = acc_col.get(kappa, 0) - q * b
-        row.append(PowerExpr._new(acc_row))
-        col.append(PowerExpr._new(acc_col))
-    return row, col, den
+            _mul_into(row[r], qs[k], row[r - k], s)
+            _mul_into(col[r], qs[k], col[r - k], -s)
+    return row, col, den, bits
 
 
-def _paired_total(row, col, r, perturb=False):
-    """sum_a C(r,a) row[a] col[r-a], summed into one dict.  Terms a and r-a
-    share one key merge per pair (rho, tau) of the supports of row[a] and
-    col[a] and of row[r-a] and col[r-a]; a = r-a is one _power_mul_into."""
-    total = {}
-    for a in range(r // 2 + 1):
-        b, c = r - a, comb(r, a)
-        # perturb: deliberately strip the sign off the column terms
-        ca, cb = (c * (-1) ** a, c * (-1) ** b) if perturb else (c, c)
-        xa, ya, xb, yb = row[a].c, col[a].c, row[b].c, col[b].c
-        if a == b:
-            _power_mul_into(total, xa, ya, ca)
-            continue
-        right = [(tau, yb.get(tau, 0), xb.get(tau, 0))
-                 for tau in xb.keys() | yb.keys()]
-        for rho in xa.keys() | ya.keys():
-            u, v = cb * xa.get(rho, 0), ca * ya.get(rho, 0)
-            for tau, p, q in right:
-                kappa = tuple(sorted(rho + tau, reverse=True))
-                total[kappa] = total.get(kappa, 0) + u * p + v * q
-    return PowerExpr._new(total)
-
-
-def _power_obj(expr, scale):
-    """A failure record's view of expr/scale: {"rho": "coefficient"}."""
-    return {",".join(map(str, rho)): str(_norm_coeff(Fraction(cv) / scale))
-            for rho, cv in expr.terms()}
+def _power_obj(d, bits, scale):
+    """A failure record's view of the {code: value} dict d over scale:
+    {"rho": "coefficient"}, largest code, and so largest rho, first."""
+    return {",".join(map(str, _unpack(u, bits))):
+            str(_norm_coeff(Fraction(v) / scale))
+            for u, v in sorted(d.items(), reverse=True) if v}
 
 
 def verify_inverse_series(max_sigma_weight=3, max_zweight=12, hook_pis=None,
@@ -502,65 +501,59 @@ def verify_inverse_series(max_sigma_weight=3, max_zweight=12, hook_pis=None,
     paired on the diagonal of the mixed two-vertex product, with the formal
     weight of each pair capped at max_zweight.  The check runs on the
     integer-scaled Newton terms of _series_power_terms: sum_a M_a L_{r-a}
-    = 0 times r! den^r is sum_a C(r,a) row[a] col[r-a] = 0, with terms a
-    and r-a paired (_paired_total).  On the plain shapes every Newton term
-    is also checked against plethysm.series_term, the kernel's own series."""
-    sigmas = [p for w in range(0, max_sigma_weight + 1)
-              for p in partitions_of(w)]
+    = 0 times r! den^r is sum_a C(r,a) row[a] col[r-a] = 0 (_mul_into).
+    As that holds for any sequence Q_k, the Newton terms are also checked
+    against plethysm.series_term, the kernel's own series: on the plain
+    shapes at every degree, on the hook shapes up to degree 2."""
     hook_pis = (_default_pis() if hook_pis is None
                 else [partition(p) for p in hook_pis])
     keys = []
-    shapes = {}
+    shapes = {}  # skey -> (shape, largest rmax of its cases)
+    terms = {}   # skey -> _series_power_terms(shape, rmax)
 
-    def add_shape(shape, grade):
-        skey = tuple(sorted(shape.c.items()))
+    def add_shape(tag, label, shape, grade):
+        skey = frozenset(shape.c.items())
         rmax = max_zweight // grade
-        prev = shapes.get(skey)
-        if prev is None or prev[1] < rmax:
-            shapes[skey] = (shape, rmax, None)
-        return skey, rmax
+        shapes[skey] = (shape, max(rmax, shapes.get(skey, (0, 0))[1]))
+        keys.extend((tag, label, skey, r) for r in range(1, rmax + 1))
 
-    for sigma in sigmas:
-        grade = max(weight(sigma), 1)
-        skey, rmax = add_shape(SymFunc.schur(sigma), grade)
-        keys.extend(("series", format_partition(sigma), skey, r)
-                    for r in range(1, rmax + 1))
+    for sigma in partitions_up_to(max_sigma_weight):
+        add_shape("series", format_partition(sigma), SymFunc.schur(sigma),
+                  max(weight(sigma), 1))
     for pi in hook_pis:
         for hook in hooks_inside(pi):
             shape = SymFunc.schur(pi).skew_by(hook)
-            if not shape:
-                continue
-            grade = weight(hook)
-            skey, rmax = add_shape(shape, grade)
-            keys.extend(("hooks",
-                         "%s/%s" % (format_partition(pi),
-                                    format_partition(hook)), skey, r)
-                        for r in range(1, rmax + 1))
+            if shape:
+                add_shape("hooks", "%s/%s" % (format_partition(pi),
+                                              format_partition(hook)),
+                          shape, weight(hook))
 
-    def get_terms(skey):
-        shape, rmax, cached = shapes[skey]
-        if cached is None:
-            cached = _series_power_terms(shape, rmax)
-            shapes[skey] = (shape, rmax, cached)
-        return shape, cached
+    # perturb: deliberately strip the sign off the column terms
+    sign = -1 if perturb else 1
 
     def case_fn(key):
         tag, label, skey, r = key
-        shape, (row, col, den) = get_terms(skey)
+        if skey not in terms:
+            terms[skey] = _series_power_terms(*shapes[skey])
+        row, col, den, bits = terms[skey]
         scale = factorial(r) * den ** r
         inputs = {"part": tag, "shape": label, "r": r}
-        if tag == "series":
+        if tag == "series" or r <= 2:
             for family, newton in (("M", row[r]), ("L", col[r])):
-                diff = (to_power(series_term(family, shape, r)).scale(scale)
-                        - newton)
-                if diff:
-                    # lhs: series_term less the Newton term
+                want = to_power(series_term(family, shapes[skey][0], r))
+                # lhs: series_term, scaled, less the Newton term
+                diff = _mul_into({u: -v for u, v in newton.items()}, {0: 1},
+                                 {_pack(rho, bits): v
+                                  for rho, v in want.c.items()}, scale)
+                if any(diff.values()):
                     return {"inputs": dict(inputs, family=family),
-                            "lhs": _power_obj(diff, scale), "rhs": {}}
-        total = _paired_total(row, col, r, perturb)
-        if not total:
-            return None
-        return {"inputs": inputs, "lhs": _power_obj(total, scale), "rhs": {}}
+                            "lhs": _power_obj(diff, bits, scale), "rhs": {}}
+        total = {}
+        for a in range(r + 1):
+            _mul_into(total, row[a], col[r - a], comb(r, a) * sign ** (r - a))
+        if any(total.values()):
+            return {"inputs": inputs, "lhs": _power_obj(total, bits, scale),
+                    "rhs": {}}
 
     cfg = {"max_sigma_weight": max_sigma_weight, "max_zweight": max_zweight,
            "hook_pis": [format_partition(p) for p in hook_pis],

@@ -60,6 +60,10 @@ MALFORMED_ARGV = [("verify", suite, flag, value)
     ("verify", "reordering", "--cases", "XX"),
     ("pi-schur", "--pi", "[1]", "--lambda", "[1]", "--config",
      "/no/such/file"),
+    ("series", "--family", "M", "--shape", "[1]", "--max-r", "-1"),
+    ("mode", "--pi", "[1]", "--kind", "X", "--m", "0", "--state",
+     '{"sectors": [{"charge": 1}]}'),
+    ("mode", "--pi", "[1]", "--kind", "X", "--m", "0", "--state", "[1,2]"),
 ]
 
 
@@ -228,6 +232,25 @@ class TestModeCommand:
                            "--m", "0", "--state", "not a state")
         assert code == 2
         assert "--state" in err
+
+    @pytest.mark.parametrize("state, named", [
+        ('{"sectors": [{"charge": 1}]}', "'value' field"),
+        ('{"sectors": [{"value": []}]}', "'charge' field"),
+        ('{"sectors": 5}', "field 'sectors'"),
+        ('{"sectors": [{"charge": "x", "value": []}]}', "field 'charge'"),
+        ("[1,2]", "'partition' field, got 1"),
+        ('[{"partition": [1]}]', "'num' field"),
+        ('[{"partition": [1], "num": "1", "den": "0"}]', "field 'den'"),
+        ('[{"partition": [1, 2], "num": "1", "den": "1"}]',
+         "field 'partition'"),
+    ])
+    def test_malformed_state_names_the_field(self, capsys, state, named):
+        code, out, err = run(capsys, "mode", "--pi", "[1]", "--kind", "X",
+                             "--m", "0", "--state", state)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("symvertex: error: argument --state: ")
+        assert named in err
 
 
 class TestVerifyCommand:

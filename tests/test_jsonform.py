@@ -54,6 +54,12 @@ class TestSymFuncJson:
         with pytest.raises(ValueError):
             symfunc_from_obj(obj)
 
+    def test_malformed_term_names_the_field(self):
+        with pytest.raises(ValueError, match="'den' field"):
+            symfunc_from_obj([{"partition": [1], "num": "1"}])
+        with pytest.raises(ValueError, match="'partition' field, got 1"):
+            symfunc_from_obj([1])
+
     def test_dumps_is_json(self):
         text = dumps(symfunc_to_obj(S((2,)) - SymFunc.one()))
         assert json.loads(text) == symfunc_to_obj(S((2,)) - SymFunc.one())
@@ -64,6 +70,12 @@ class TestChargedStateJson:
     def test_roundtrip(self, f, g, c):
         state = ChargedState({c: f, c + 2: g})
         assert state_from_obj(state_to_obj(state)) == state
+
+    def test_malformed_sector_names_the_field(self):
+        with pytest.raises(ValueError, match="'value' field"):
+            state_from_obj({"sectors": [{"charge": 1}]})
+        with pytest.raises(ValueError, match="'sectors' field"):
+            state_from_obj({})
 
     def test_sectors_sorted_by_charge(self):
         state = ChargedState({2: SymFunc.one(), -1: S((1,))})

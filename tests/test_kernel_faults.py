@@ -176,7 +176,7 @@ FAULTS = [
      _charge_offset(False, 1), clifford_small),
     ("mode-annihilation-charge-offset", vertexops, "_mode_into",
      _charge_offset(True, -1), clifford_small),
-    ("power-mul-scale-dropped", verifier, "_power_mul_into",
+    ("power-mul-scale-dropped", verifier, "_mul_into",
      _scale_dropped, inverse_series_small),
     ("power-substitute-part-scaled", verifier, "power_substitute",
      _first_part_scaled_wrong, inverse_series_small),
@@ -238,6 +238,18 @@ def test_planted_fault_is_caught(cold_memos, monkeypatch, module, attr,
     monkeypatch.setattr(module, attr, plant(getattr(module, attr)))
     rep = run()
     assert rep.failures
+
+
+# the inverse identity holds for any sequence Q_k, so a kernel fault shows
+# in the hook cases only through their Newton terms against series_term
+@pytest.mark.parametrize("row_id", ["power-mul-scale-dropped",
+                                    "power-substitute-part-scaled",
+                                    "from-power-constant-skipped"])
+def test_hook_cases_see_the_fault(cold_memos, monkeypatch, row_id):
+    _, module, attr, plant, run = next(row for row in FAULTS
+                                       if row[0] == row_id)
+    monkeypatch.setattr(module, attr, plant(getattr(module, attr)))
+    assert any(rec["inputs"]["part"] == "hooks" for rec in run().failures)
 
 
 def test_unplanted_runs_pass(cold_memos):

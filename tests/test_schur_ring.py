@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from symvertex.oracle import oracle_product
 from symvertex.partitions import (conjugate, contains, partition,
                                   partitions_of, partitions_up_to, weight)
-from symvertex.schurring import (PowerExpr, SymFunc, _power_mul_into,
-                                 border_strips,
+from symvertex.schurring import (PowerExpr, SymFunc, border_strips,
                                  centralizer_order, charvalue,
                                  format_symfunc, from_power, pieri_row,
                                  pieri_row_down, product_schur_pair,
@@ -131,8 +130,8 @@ class TestPowerBasis:
 
 
 def merge_product(x, y):
-    """Reference for schurring._power_mul_into: the body PowerExpr.__mul__
-    had before the kernel was split out of it."""
+    """Reference for PowerExpr.__mul__: one sorted merge of the indexing
+    partitions per term pair."""
     d = {}
     for rho, a in x.c.items():
         for tau, b in y.c.items():
@@ -156,16 +155,11 @@ def typed(expr):
 
 
 class TestPowerMulInto:
-    @given(power_strategy(RATIONALS), power_strategy(RATIONALS),
-           power_strategy(RATIONALS), RATIONALS)
-    def test_adds_the_scaled_product(self, z, x, y, c):
-        got = PowerExpr._new(_power_mul_into(dict(z.c), x.c, y.c, c))
-        assert typed(got) == typed(z + merge_product(x.scale(c), y))
+    """PowerExpr.__mul__ against merge_product."""
 
     @given(power_strategy(INTS), power_strategy(INTS), INTS)
     def test_int_inputs_give_ints(self, x, y, c):
-        d = _power_mul_into({}, x.c, y.c, c)
-        assert all(type(v) is int for v in d.values())
+        assert all(type(v) is int for v in (x.scale(c) * y).c.values())
 
     @given(power_strategy(RATIONALS), power_strategy(RATIONALS))
     def test_product_is_the_old_body(self, x, y):
@@ -175,9 +169,8 @@ class TestPowerMulInto:
         x = PowerExpr({(1,): Fraction(3, 4), (2,): Fraction(1, 2)})
         y = PowerExpr({(1,): 4, (): Fraction(2, 3)})
         c = Fraction(2, 3)
-        got = PowerExpr._new(_power_mul_into({}, x.c, y.c, c))
-        want = merge_product(x.scale(c), y)
-        assert typed(got) == typed(want)
+        got = x.scale(c) * y
+        assert typed(got) == typed(merge_product(x.scale(c), y))
         assert typed(x * y) == typed(merge_product(x, y))
         # (3/4)(2/3)*4 = 2 and (1/2)(2/3)*4 = 4/3 become an int and a Fraction
         assert typed(got)[(1, 1)] == (int, 2)

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from symvertex import verifier
 from symvertex.jsonform import laurent_to_obj
 from symvertex.partitions import (format_partition, hooks_inside,
-                                  parse_partition, partitions_of)
+                                  parse_partition, partitions_of,
+                                  partitions_up_to, weight)
 from symvertex.plethysm import plethysm, power_substitute, series_term
 from symvertex.schurring import PowerExpr, SymFunc, to_power
 from symvertex.verifier import (SUITES, VerificationReport, _laurent_diff,
-                                _paired_total, _reordering_sides,
-                                _series_power_terms,
+                                _mul_into, _pack, _reordering_sides,
+                                _series_power_terms, _unpack,
                                 verify_clifford,
                                 verify_inverse_series, verify_multivertex,
                                 verify_reordering, verify_route_agreement,
@@ -229,8 +230,7 @@ def default_suite_shapes():
 
 def product_series_terms(shape, rmax):
     """Reference for verifier._series_power_terms: the integer-scaled
-    Newton recurrences run one PowerExpr product and sum per term, as the
-    suite ran them before the two were fused onto plain dicts."""
+    Newton recurrences run one PowerExpr product and sum per term."""
     gp = to_power(shape)
     den = lcm(*(a.denominator for a in gp.c.values()))
     gq = gp.scale(den)
@@ -251,9 +251,9 @@ def product_series_terms(shape, rmax):
 
 
 def product_total(row, col, r, perturb=False):
-    """Reference for verifier._paired_total: sum_a C(r,a) row[a] col[r-a]
-    by one PowerExpr product per term and a sum, as the suite's check ran
-    it before the terms were paired; perturb signs term a by (-1)^(r-a)."""
+    """Reference for the suite's check: sum_a C(r,a) row[a] col[r-a] by one
+    PowerExpr product per term and a sum; perturb signs term a by
+    (-1)^(r-a)."""
     total = PowerExpr()
     for a in range(r + 1):
         c = comb(r, a) * ((-1) ** (r - a) if perturb else 1)
@@ -261,22 +261,42 @@ def product_total(row, col, r, perturb=False):
     return total
 
 
+def packed(expr, bits):
+    return {_pack(rho, bits): a for rho, a in expr.c.items()}
+
+
+def unpacked(d, bits):
+    return PowerExpr._new({_unpack(u, bits): a for u, a in d.items()})
+
+
+def packed_total(row, col, r, perturb=False):
+    """The suite's check on packed terms: sum_a C(r,a) row[a] col[r-a]
+    through _mul_into; perturb signs term a by (-1)^(r-a)."""
+    total = {}
+    for a in range(r + 1):
+        _mul_into(total, row[a], col[r - a],
+                  comb(r, a) * (-1) ** (r - a) if perturb else comb(r, a))
+    return total
+
+
 def assert_scaled_terms_match(shape, rmax):
-    """The Newton terms against both references, and the check's paired
-    totals, with perturb off and on, against the product-and-add total."""
-    row, col, den = _series_power_terms(shape, rmax)
+    """The Newton terms against both references, and the check's totals,
+    with perturb off and on, against the product-and-add total."""
+    row, col, den, bits = _series_power_terms(shape, rmax)
     ref_row, ref_col = fraction_series_terms(shape, rmax)
-    assert (row, col, den) == product_series_terms(shape, rmax)
+    prow = [unpacked(d, bits) for d in row]
+    pcol = [unpacked(d, bits) for d in col]
+    assert (prow, pcol, den) == product_series_terms(shape, rmax)
     assert len(row) == len(col) == rmax + 1
     for r in range(rmax + 1):
         scale = factorial(r) * den ** r
         for term in row[r], col[r]:
-            assert all(type(v) is int for v in term.c.values())
-        assert row[r].scale(Fraction(1, scale)) == ref_row[r], r
-        assert col[r].scale(Fraction(1, scale)) == ref_col[r], r
+            assert all(type(v) is int for v in term.values())
+        assert prow[r].scale(Fraction(1, scale)) == ref_row[r], r
+        assert pcol[r].scale(Fraction(1, scale)) == ref_col[r], r
         for perturb in (False, True):
-            assert (_paired_total(row, col, r, perturb)
-                    == product_total(row, col, r, perturb)), (r, perturb)
+            assert (unpacked(packed_total(row, col, r, perturb), bits)
+                    == product_total(prow, pcol, r, perturb)), (r, perturb)
 
 
 class TestIntegerSeriesTerms:
@@ -324,24 +344,66 @@ class TestIntegerSeriesTerms:
         assert want and rep.failures == want
 
 
-class TestPairedTotal:
-    @given(st.integers(0, 4).flatmap(lambda r: st.tuples(
-        st.just(r),
-        st.lists(st.dictionaries(
-            st.sampled_from([p for w in range(4) for p in partitions_of(w)]),
-            st.one_of(st.integers(-6, 6),
-                      st.fractions(max_denominator=4, min_value=-3,
-                                   max_value=3)),
-            max_size=4), min_size=2 * r + 2, max_size=2 * r + 2))))
-    def test_paired_total_on_random_terms(self, case):
+COEFFS = st.one_of(st.integers(-6, 6),
+                   st.fractions(max_denominator=4, min_value=-3, max_value=3))
+
+
+def power_terms(count):
+    """count PowerExpr of weight below 4 each."""
+    return st.lists(st.dictionaries(st.sampled_from(partitions_up_to(3)),
+                                    COEFFS, max_size=4).map(PowerExpr),
+                    min_size=count, max_size=count)
+
+
+def suite_widths():
+    """{bits: the largest weight bound rmax*deg packed at that width} over
+    the shapes verify_inverse_series builds at its defaults; the width is
+    read off _series_power_terms, which depends only on deg and rmax."""
+    grades = {(w, max(w, 1)) for w in range(4)}
+    grades |= {(weight(pi) - weight(hook), weight(hook))
+               for pi in partitions_up_to(4) if pi
+               for hook in hooks_inside(pi)}
+    widths = {}
+    for deg, grade in grades:
+        rmax = 12 // grade
+        shape = SymFunc.schur((deg,)) if deg else SymFunc.one()
+        bits = _series_power_terms(shape, rmax)[3]
+        widths[bits] = max(widths.get(bits, 0), rmax * max(deg, 1))
+    return sorted(widths.items())
+
+
+class TestMulInto:
+    """verifier._mul_into, the suite's one product loop, on packed
+    monomials."""
+
+    @given(power_terms(3), COEFFS)
+    def test_adds_the_scaled_product(self, terms, c):
+        z, x, y = terms
+        got = _mul_into(packed(z, 3), packed(x, 3), packed(y, 3), c)
+        assert unpacked(got, 3) == z + x.scale(c) * y
+
+    @given(st.integers(0, 4).flatmap(lambda r: power_terms(2 * r + 2).map(
+        lambda terms: (r, terms))))
+    def test_total_on_random_terms(self, case):
         """Random row and col terms with supports of their own and int and
         Fraction coefficients mixed."""
-        r, dicts = case
-        row = [PowerExpr(d) for d in dicts[:r + 1]]
-        col = [PowerExpr(d) for d in dicts[r + 1:]]
+        r, terms = case
+        row, col = terms[:r + 1], terms[r + 1:]
         for perturb in (False, True):
-            assert (_paired_total(row, col, r, perturb)
-                    == product_total(row, col, r, perturb))
+            got = packed_total([packed(t, 4) for t in row],
+                               [packed(t, 4) for t in col], r, perturb)
+            assert unpacked(got, 4) == product_total(row, col, r, perturb)
+
+    @pytest.mark.parametrize("bits, bound", suite_widths())
+    def test_packing_at_the_suite_widths(self, bits, bound):
+        """Every partition of weight up to the bound unpacks to itself, and
+        a product's code is the code of the sorted merge."""
+        for kappa in partitions_up_to(bound):
+            assert _unpack(_pack(kappa, bits), bits) == kappa
+            rho, tau = kappa[::2], kappa[1::2]
+            got = _mul_into({}, {_pack(rho, bits): 1},
+                            {_pack(tau, bits): 1}, 1)
+            assert got == {_pack(kappa, bits): 1}
 
 
 class TestSeriesTermFault:
@@ -360,8 +422,8 @@ class TestSeriesTermFault:
     def test_planted_sign_error_fails_the_suite(self, monkeypatch, family,
                                                 failures):
         """The plant, put where the suite looks series_term up, fails every
-        plain-shape case whose planted term is nonzero, and nothing
-        else."""
+        plain-shape case whose planted term is nonzero, every hook case at
+        r = 1 and r = 2 whose planted term is nonzero, and nothing else."""
         def planted(fam, shape, r):
             if fam == family:
                 return self.PLANTS[fam](shape, r)
@@ -369,7 +431,10 @@ class TestSeriesTermFault:
 
         monkeypatch.setattr(verifier, "series_term", planted)
         rep = verify_inverse_series(max_sigma_weight=2, max_zweight=6)
-        assert len(rep.failures) == failures
+        # 39 hook shapes at r = 1; 35 reach r = 2, and e_2[1] vanishes on
+        # the 6 of them that are the empty shape
+        hooks = 39 + (35 - 6 if family == "L" else 35)
+        assert len(rep.failures) == failures + hooks
         for rec in rep.failures:
-            assert rec["inputs"]["part"] == "series"
+            assert rec["inputs"]["part"] == "series" or rec["inputs"]["r"] <= 2
             assert rec["inputs"]["family"] == family
