@@ -14,10 +14,10 @@ import argparse
 import json
 import sys
 
-from symvertex.cli import ROUTES
 from symvertex.jsonform import symfunc_to_obj
 from symvertex.partitions import format_partition, partitions_up_to
 from symvertex.schurring import format_symfunc
+from symvertex.verifier import ROUTES
 
 
 def parse_args(argv=None):

@@ -16,14 +16,12 @@ import sys
 from .config import ENV_CONFIG, ConfigError, load_config
 from .jsonform import dumps, parse_symfunc, state_from_obj, state_to_obj, \
     symfunc_to_obj
-from .oracle import (oracle_dual_pi_schur, oracle_pi_schur, oracle_plethysm,
-                     oracle_product)
+from .oracle import oracle_plethysm, oracle_product
 from .partitions import format_partition, parse_partition, weight
-from .plethysm import (cauchy_dual_pi_schur, cauchy_pi_schur, dual_pi_schur,
-                       pi_branch, pi_schur, plethysm, series_term)
+from .plethysm import pi_branch, plethysm, series_term
 from .schurring import SymFunc, format_symfunc
-from .vertexops import ChargedState, mode as apply_mode, vertex_string
-from .verifier import REORDERING_CASES, SUITES
+from .vertexops import ChargedState, mode as apply_mode
+from .verifier import REORDERING_CASES, ROUTES, SUITES
 
 
 class CliError(Exception):
@@ -110,15 +108,6 @@ def _emit(config, text_fn, obj_fn):
 
 # #### computation subcommands ####
 
-ROUTES = {
-    "perp": (pi_schur, dual_pi_schur),
-    "cauchy": (cauchy_pi_schur, cauchy_dual_pi_schur),
-    "vertex": (lambda pi, lam: vertex_string(pi, lam),
-               lambda pi, lam: vertex_string(pi, lam, dual=True)),
-    "oracle": (oracle_pi_schur, oracle_dual_pi_schur),
-}
-
-
 def _run_pi_schur(args, config, dual):
     pi, lam = args.pi, args.lam
     _check_budget(config, weight(lam), "pi-schur at lambda=%s"
@@ -130,10 +119,7 @@ def _run_pi_schur(args, config, dual):
         routes.append("oracle")
     if "oracle" in routes and not pi:
         raise CliError("--route", "the oracle route needs a nonempty --pi")
-    values = []
-    for name in routes:
-        fn = ROUTES[name][1 if dual else 0]
-        values.append((name, fn(pi, lam)))
+    values = [(name, ROUTES[name][dual](pi, lam)) for name in routes]
     agree = all(v == values[0][1] for _, v in values)
 
     def text():
@@ -208,7 +194,7 @@ def _run_plethysm(args, config):
                   "plethysm outer=%s inner=%s"
                   % (format_partition(args.outer),
                      format_partition(args.inner)))
-    value = plethysm(args.outer, SymFunc.schur(args.inner), budget=None)
+    value = plethysm(args.outer, SymFunc.schur(args.inner))
     oracle_value = (oracle_plethysm(args.outer, args.inner)
                     if args.check_oracle else None)
     return _run_checked(config, value, oracle_value)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .partitions import partition
 from .schurring import SymFunc
-from .vertexops import ChargedState, LaurentMap
+from .vertexops import ChargedState
 
 
 def _field(rec, name, convert):
@@ -24,6 +24,15 @@ def _field(rec, name, convert):
         return convert(rec[name])
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise ValueError("field %r: %s" % (name, e))
+
+
+def _int(value):
+    """An int from a JSON int or decimal string; a float would be
+    truncated and a boolean read as 0 or 1, so both are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError("expected an integer or a decimal string, got %r"
+                         % (value,))
+    return int(value)
 
 
 # #### SymFunc ####
@@ -45,9 +54,10 @@ def symfunc_from_obj(obj):
         raise ValueError("a symmetric function serializes as a list of terms")
     d = {}
     for rec in obj:
-        lam = _field(rec, "partition", partition)
-        num = _field(rec, "num", int)
-        c = _field(rec, "den", lambda den: Fraction(num, int(den)))
+        lam = _field(rec, "partition",
+                     lambda parts: partition(map(_int, parts)))
+        num = _field(rec, "num", _int)
+        c = _field(rec, "den", lambda den: Fraction(num, _int(den)))
         if lam in d:
             raise ValueError("duplicate partition %r in input" % (lam,))
         d[lam] = c
@@ -64,7 +74,7 @@ def state_to_obj(state):
 def state_from_obj(obj):
     sectors = {}
     for rec in _field(obj, "sectors", list):
-        c = _field(rec, "charge", int)
+        c = _field(rec, "charge", _int)
         if c in sectors:
             raise ValueError("duplicate charge %d in input" % c)
         sectors[c] = _field(rec, "value", symfunc_from_obj)
@@ -79,23 +89,10 @@ def _value_to_obj(val):
     return symfunc_to_obj(val)
 
 
-def _value_from_obj(obj):
-    if isinstance(obj, dict):
-        return state_from_obj(obj)
-    return symfunc_from_obj(obj)
-
-
 def laurent_to_obj(lmap):
     return {"vars": list(lmap.vars),
             "coeffs": [{"exp": list(e), "value": _value_to_obj(v)}
                        for e, v in sorted(lmap.data.items())]}
-
-
-def laurent_from_obj(obj):
-    lm = LaurentMap(tuple(obj["vars"]))
-    for rec in obj["coeffs"]:
-        lm.data[tuple(int(x) for x in rec["exp"])] = _value_from_obj(rec["value"])
-    return lm
 
 
 # #### text shorthand ####

@@ -23,12 +23,6 @@ from .partitions import conjugate, partition, partitions_of, weight
 from .schurring import (SymFunc, PowerExpr, from_power, product_schur_pair,
                         to_power)
 
-DEFAULT_DEGREE_BUDGET = 14
-
-
-class DegreeBudgetError(Exception):
-    """Raised when a plethysm would exceed the configured degree budget."""
-
 
 def power_substitute(k, expr):
     """Apply the ring map p_j -> p_{j*k}, the plethysm p_k[expr], to a
@@ -37,19 +31,11 @@ def power_substitute(k, expr):
                            for rho, a in expr.c.items()})
 
 
-def plethysm(outer, inner, budget=DEFAULT_DEGREE_BUDGET):
+def plethysm(outer, inner):
     """Plethysm outer[inner] of two SymFunc values (outer may be given as a
-    partition, meaning the corresponding Schur function).
-
-    Raises DegreeBudgetError when the result degree deg(outer)*deg(inner)
-    would exceed `budget`; pass budget=None to disable the check.
-    """
+    partition, meaning the corresponding Schur function)."""
     if not isinstance(outer, SymFunc):
         outer = SymFunc.schur(partition(outer))
-    if budget is not None and outer.degree() * inner.degree() > budget:
-        raise DegreeBudgetError(
-            "plethysm degree %d * %d exceeds budget %d"
-            % (outer.degree(), inner.degree(), budget))
     gp = to_power(inner)
     sub = {}
     out = PowerExpr()
@@ -87,9 +73,9 @@ def series_term(family, shape, r):
     if found is not None:
         return found
     if family == "M":
-        val = plethysm((r,), shape, budget=None)
+        val = plethysm((r,), shape)
     else:
-        val = plethysm((1,) * r, shape, budget=None).scale((-1) ** r)
+        val = plethysm((1,) * r, shape).scale((-1) ** r)
     val.c = MappingProxyType(val.c)
     _series_memo[key] = val
     return val

@@ -3,11 +3,10 @@
 Each suite enumerates a deterministic case list, evaluates every case with
 exact arithmetic in enumeration order, and returns a VerificationReport.
 Each suite's defaults live in its signature alone; callers override them
-by keyword.  Suites run serially: `jobs` is accepted for existing callers
-but ignored, since threads only slowed this GIL-bound work.  Every suite
-takes perturb=True, which wires in one deliberate mutation that must
-produce failures — a guard against vacuous passes.  inverse-series keys
-power-sum monomials by integer codes: a product of two is one addition.
+by keyword.  Every suite takes perturb=True, which wires in one
+deliberate mutation that must produce failures — a guard against vacuous
+passes.  inverse-series keys power-sum monomials by integer codes: a
+product of two is one addition.
 """
 
 import time
@@ -52,22 +51,16 @@ class VerificationReport:
                 "failures": self.failures,
                 "elapsed_ms": self.elapsed_ms}
 
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(suite=obj["suite"], config=obj["config"],
-                   cases_run=int(obj["cases_run"]),
-                   failures=list(obj["failures"]),
-                   elapsed_ms=int(obj["elapsed_ms"]))
-
-    def summary_lines(self, max_failures=5):
+    def summary_lines(self):
+        """The verdict line and the inputs of the first five failures."""
         lines = ["suite %s: %d cases, %d failures, %d ms -> %s"
                  % (self.suite, self.cases_run, len(self.failures),
                     self.elapsed_ms, "PASS" if self.passed() else "FAIL")]
-        for rec in self.failures[:max_failures]:
+        for rec in self.failures[:5]:
             lines.append("  FAIL %s" % (rec["inputs"],))
-        if len(self.failures) > max_failures:
+        if len(self.failures) > 5:
             lines.append("  ... and %d more failures"
-                         % (len(self.failures) - max_failures))
+                         % (len(self.failures) - 5))
         return lines
 
 
@@ -133,7 +126,7 @@ def _reordering_sides(case, pi, perturb=False):
 
 
 def verify_reordering(cases=REORDERING_CASES, pis=None, window=(0, 4),
-                      test_degree=5, perturb=False, jobs=None):
+                      test_degree=5, perturb=False):
     """Coefficientwise equality of the four adjoint/multiplication
     reorderings on every Schur input up to test_degree."""
     pis = _default_pis() if pis is None else [partition(p) for p in pis]
@@ -214,7 +207,7 @@ def _form_obj(nf):
             "shift": nf.shift}
 
 
-def verify_zero_modes(charge_range=(-3, 3), perturb=False, jobs=None):
+def verify_zero_modes(charge_range=(-3, 3), perturb=False):
     """The four ordered forms of products of charge-shift words, checked
     symbolically and on every concrete charge in the range."""
     lo, hi = charge_range
@@ -266,8 +259,7 @@ _CLIFFORD_RELATIONS = {"create-create": ("X", "X"),
 
 
 def verify_clifford(pis=DEFAULT_CLIFFORD_PIS, mode_range=(-3, 3),
-                    degree_bound=5, charges=(-1, 0, 1), perturb=False,
-                    jobs=None):
+                    degree_bound=5, charges=(-1, 0, 1), perturb=False):
     """Anticommutators of the mode families: like kinds vanish, mixed kinds
     give the identity exactly when the mode indices cancel."""
     pis = [partition(p) for p in pis]
@@ -310,12 +302,12 @@ def verify_clifford(pis=DEFAULT_CLIFFORD_PIS, mode_range=(-3, 3),
 # #### suite: multivertex ####
 
 def verify_multivertex(pis=((2,), (2, 1)), ms=(2, 3), duals=(False, True),
-                       inputs=None, window=(-3, 3), perturb=False, jobs=None):
+                       window=(-3, 3), perturb=False):
     """Sequential strings of like vertex operators against their
-    normal-ordered form, coefficientwise on a window."""
+    normal-ordered form, coefficientwise on a window, applied to the
+    states 1 and s[1]."""
     pis = [partition(p) for p in pis]
-    if inputs is None:
-        inputs = (("1", SymFunc.one()), ("s[1]", SymFunc.schur((1,))))
+    inputs = (("1", SymFunc.one()), ("s[1]", SymFunc.schur((1,))))
     keys = [(pi, m, dual, label)
             for pi in pis for m in ms for dual in duals
             for label, _ in inputs]
@@ -346,13 +338,22 @@ def verify_multivertex(pis=((2,), (2, 1)), ms=(2, 3), duals=(False, True),
 
 # #### suite: route agreement (CLI name: theorem2) ####
 
+# route -> (plain family, companion family) of the deformed Schur functions
+ROUTES = {
+    "perp": (pi_schur, dual_pi_schur),
+    "cauchy": (cauchy_pi_schur, cauchy_dual_pi_schur),
+    "vertex": (vertex_string,
+               lambda pi, lam: vertex_string(pi, lam, dual=True)),
+    "oracle": (oracle_pi_schur, oracle_dual_pi_schur),
+}
+
 _ROUTE_CHECKS = ("routes", "dual-routes", "conjugate-pairing",
                  "branch-roundtrip")
 
 
 def verify_route_agreement(pis=None, max_weight=6, max_length=3,
                            include_oracle=True, include_vertex=True,
-                           perturb=False, jobs=None):
+                           perturb=False):
     """All independent constructions of the deformed Schur functions agree:
     adjoint series, coefficient-extraction, vertex strings, and the literal
     monomial oracle; plus the conjugate pairing between the two families and
@@ -362,38 +363,27 @@ def verify_route_agreement(pis=None, max_weight=6, max_length=3,
     keys = [(pi, lam, check) for pi in pis for lam in lams
             for check in _ROUTE_CHECKS]
 
-    def oracle_route(fn, pi, lam):
-        # a fault the oracle detects in itself fails the case; it is not
-        # a bad request
-        try:
-            return fn(pi, lam)
-        except ValueError as e:
-            return {"error": str(e)}
+    names = [name for name in ROUTES
+             if (name != "vertex" or include_vertex)
+             and (name != "oracle" or include_oracle)]
 
-    def routes_for(pi, lam, dual):
-        if dual:
-            out = [("perp", dual_pi_schur(pi, lam)),
-                   ("cauchy", cauchy_dual_pi_schur(pi, lam))]
-            if include_vertex:
-                out.append(("vertex", vertex_string(pi, lam, dual=True)))
-            if include_oracle:
-                out.append(("oracle",
-                            oracle_route(oracle_dual_pi_schur, pi, lam)))
-        else:
-            out = [("perp", pi_schur(pi, lam)),
-                   ("cauchy", cauchy_pi_schur(pi, lam))]
-            if include_vertex:
-                out.append(("vertex", vertex_string(pi, lam)))
-            if include_oracle:
-                out.append(("oracle", oracle_route(oracle_pi_schur, pi, lam)))
-        return out
+    def route(name, pi, lam, dual):
+        try:
+            return ROUTES[name][dual](pi, lam)
+        except ValueError as e:
+            # a fault the oracle detects in itself fails the case; it is
+            # not a bad request
+            if name != "oracle":
+                raise
+            return {"error": str(e)}
 
     def case_fn(key):
         pi, lam, check = key
         inputs = {"pi": format_partition(pi), "lambda": format_partition(lam),
                   "check": check}
         if check in ("routes", "dual-routes"):
-            vals = routes_for(pi, lam, check == "dual-routes")
+            dual = check == "dual-routes"
+            vals = [(name, route(name, pi, lam, dual)) for name in names]
             base_name, base = vals[0]
             for name, val in vals[1:]:
                 if val != base:
@@ -495,7 +485,7 @@ def _power_obj(d, bits, scale):
 
 
 def verify_inverse_series(max_sigma_weight=3, max_zweight=12, hook_pis=None,
-                          perturb=False, jobs=None):
+                          perturb=False):
     """The row and signed-column series of any shape are mutually inverse:
     plain shapes up to max_sigma_weight, and the hook-indexed skew shapes
     paired on the diagonal of the mixed two-vertex product, with the formal

@@ -70,8 +70,6 @@ class ChargedState(_LinComb):
     def vacuum(cls, charge=0, value=None):
         return cls({charge: value if value is not None else SymFunc.one()})
 
-    one = vacuum
-
     def __mul__(self, term):
         return self._new({c: f * term for c, f in self.c.items()})
 
@@ -459,8 +457,8 @@ def string_chain(pi, duals, varnames=None):
     return FactorChain(tuple(varnames), factors)
 
 
-def build_vertex(pi, var="z", dual=False):
-    """Creation vertex operator of shape pi in one variable: multiplication
+def build_vertex(pi, dual=False):
+    """Creation vertex operator of shape pi in the variable z: multiplication
     by the row series in z, the adjoint column series in 1/z, and one
     adjoint column series of the k-row skew of pi in z^k for each k up to
     the first row of pi.
@@ -469,25 +467,26 @@ def build_vertex(pi, var="z", dual=False):
     column series in z, the adjoint row series in 1/z, and for each column
     depth k up to the length of pi an adjoint series of the k-column skew
     of pi in z^k -- row series for odd k, column series for even k."""
-    return string_chain(pi, (dual,), (var,))
+    return string_chain(pi, (dual,), ("z",))
 
 
 DEFAULT_STRING_BOUND = 4
 
 
-def vertex_string(pi, lam, dual=False, max_vertices=DEFAULT_STRING_BOUND):
+def vertex_string(pi, lam, dual=False):
     """Coefficient route to the deformed Schur functions: apply one vertex
     operator per part of lam to the constant 1 and read off the monomial
     z1^lam1 ... zm^lamm.  With dual=True uses annihilation operators and
-    yields the companion family."""
+    yields the companion family.  Strings longer than DEFAULT_STRING_BOUND
+    are refused."""
     pi = partition(pi)
     lam = partition(lam)
     m = len(lam)
     if m == 0:
         return SymFunc.one()
-    if m > max_vertices:
+    if m > DEFAULT_STRING_BOUND:
         raise ValueError("string of %d vertices exceeds the bound %d"
-                         % (m, max_vertices))
+                         % (m, DEFAULT_STRING_BOUND))
     chain = string_chain(pi, (dual,) * m)
     window = {chain.vars[i]: (lam[i], lam[i]) for i in range(m)}
     res = apply_chain(chain, SymFunc.one(), window)
@@ -586,11 +585,9 @@ def _vertex_coefficient(pi, dual, j, lam):
 
 
 def _kind_is_dual(kind):
-    if kind in ("X", "create", "creation"):
-        return False
-    if kind in ("X*", "Xstar", "annihilate", "annihilation"):
-        return True
-    raise ValueError("kind must be 'X' or 'Xstar'")
+    if kind not in ("X", "Xstar"):
+        raise ValueError("kind must be 'X' or 'Xstar'")
+    return kind == "Xstar"
 
 
 def _mode_into(out, pi, dual, m, sectors):
@@ -631,14 +628,9 @@ def mode(pi, kind, m, state):
     return _wrap_sectors(_mode_into({}, pi, dual, m, _state_sectors(state)))
 
 
-def anticommutator(pi, kind_a, m, kind_b, n, state, pi_b=None):
-    """{mode_a, mode_b} applied to a ChargedState.
-
-    Both modes must share one shape: products of modes built from two
-    different shapes have no stated relations and are rejected."""
-    if pi_b is not None and partition(pi_b) != partition(pi):
-        raise ValueError("anticommutator needs matching shapes, got %r / %r"
-                         % (pi, pi_b))
+def anticommutator(pi, kind_a, m, kind_b, n, state):
+    """{mode_a, mode_b} applied to a ChargedState.  Both modes have the
+    shape pi: the Clifford relations hold for one shape at a time."""
     pi = partition(pi)
     dual_b = _kind_is_dual(kind_b)
     sectors = _state_sectors(state)

@@ -23,8 +23,6 @@ from symvertex.verifier import (SUITES, verify_clifford,
                                 verify_zero_modes)
 from symvertex.vertexops import vertex_string
 
-JOBS = 8
-
 
 def _report(num, desc, ok, detail=""):
     line = "criterion-%02d %s: %s" % (num, desc, "PASS" if ok else "FAIL")
@@ -35,14 +33,14 @@ def _report(num, desc, ok, detail=""):
 
 
 def test_criterion_01_clifford_relations():
-    rep = verify_clifford(jobs=JOBS)
+    rep = verify_clifford()
     _report(1, "mode anticommutators reduce to delta pairing "
                "(6 shapes, modes -3..3, states to weight 5, charges -1..1)",
             rep.passed(), "%d failures" % len(rep.failures))
 
 
 def test_criterion_02_reordering_identities():
-    rep = verify_reordering(window=(0, 4), test_degree=5, jobs=JOBS)
+    rep = verify_reordering(window=(0, 4), test_degree=5)
     _report(2, "all four adjoint/multiplication reorderings "
                "(shapes to weight 4, exponents 0..4, inputs to weight 5)",
             rep.passed(), "%d failures" % len(rep.failures))
@@ -56,7 +54,7 @@ def test_criterion_03_zero_mode_normal_forms():
 
 
 def test_criterion_04_multivertex_normal_ordering():
-    rep = verify_multivertex(window=(-3, 3), jobs=JOBS)
+    rep = verify_multivertex(window=(-3, 3))
     _report(4, "vertex strings equal their normal-ordered products "
                "(shapes [2],[2,1], 2..3 vertices, both kinds, "
                "exponents -3..3)", rep.passed(),
@@ -65,7 +63,7 @@ def test_criterion_04_multivertex_normal_ordering():
 
 def test_criterion_05_four_route_agreement():
     rep = verify_route_agreement(max_weight=6, max_length=3,
-                                 include_oracle=True, jobs=JOBS)
+                                 include_oracle=True)
     _report(5, "all routes to the deformed Schur functions agree, both "
                "families, with the signed-conjugate identification "
                "(shapes to weight 4, labels to weight 6 length 3)",
@@ -86,8 +84,7 @@ def test_criterion_06_classical_recovery():
 
 
 def test_criterion_07_inverse_series_and_hooks():
-    rep = verify_inverse_series(max_sigma_weight=3, max_zweight=12,
-                                jobs=JOBS)
+    rep = verify_inverse_series(max_sigma_weight=3, max_zweight=12)
     _report(7, "row and column series invert to degree 12 and hook skews "
                "telescope (kernel shapes to weight 3, hooks to weight 4)",
             rep.passed(), "%d failures" % len(rep.failures))

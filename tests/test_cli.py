@@ -64,6 +64,16 @@ MALFORMED_ARGV = [("verify", suite, flag, value)
     ("mode", "--pi", "[1]", "--kind", "X", "--m", "0", "--state",
      '{"sectors": [{"charge": 1}]}'),
     ("mode", "--pi", "[1]", "--kind", "X", "--m", "0", "--state", "[1,2]"),
+    # JSON floats and booleans are not integers
+    ("mode", "--pi", "[]", "--kind", "X", "--m", "0", "--state",
+     '[{"partition": [1], "num": 0.5, "den": 1}]'),
+    ("mode", "--pi", "[]", "--kind", "X", "--m", "0", "--state",
+     '[{"partition": [1.5], "num": 1, "den": 1}]'),
+    ("mode", "--pi", "[]", "--kind", "X", "--m", "0", "--state",
+     '[{"partition": [1], "num": true, "den": 1}]'),
+    ("mode", "--pi", "[]", "--kind", "X", "--m", "0", "--state",
+     '{"sectors": [{"charge": 1.7, "value": '
+     '[{"partition": [1], "num": 1, "den": 1}]}]}'),
 ]
 
 
@@ -347,8 +357,7 @@ class TestVerifyFlagTable:
                 reachable[suite].add(keyword)
         for suite, fn in SUITES.items():
             params = set(inspect.signature(fn).parameters)
-            assert params - {"perturb", "jobs", "inputs"} \
-                == reachable[suite], suite
+            assert params - {"perturb"} == reachable[suite], suite
 
     @pytest.mark.parametrize("flag", [
         f for f, (options, _) in VERIFY_FLAGS.items()

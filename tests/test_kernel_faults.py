@@ -135,6 +135,20 @@ def _one_part_class_negated(orig):
     return planted
 
 
+def _last_key_dropped(orig):
+    def planted(mu, nu=None, lam=None):
+        out = orig(mu, nu, lam)
+        return dict(list(out.items())[:-1]) if len(out) >= 2 else out
+    return planted
+
+
+def _multiplicities_lowered(orig):
+    def planted(mu, nu=None, lam=None):
+        return {key: c - 1 if c > 1 else c
+                for key, c in orig(mu, nu, lam).items()}
+    return planted
+
+
 def clifford_small():
     return verify_clifford(degree_bound=3, mode_range=(-2, 2))
 
@@ -151,6 +165,13 @@ def route_agreement_small():
 def vertex_routes_small():
     return verify_route_agreement(pis=[(1,), (2,), (1, 1)], max_weight=3,
                                   include_oracle=False)
+
+
+# the runs above all pass with LR multiplicities lowered by one; this one
+# fails 3 of its 368 cases
+def lr_multiplicities_small():
+    return verify_route_agreement(pis=[(1,), (2,), (1, 1), (2, 1)],
+                                  max_weight=6, include_oracle=False)
 
 
 def multivertex_small():
@@ -211,6 +232,11 @@ FAULTS = [
     # theorem2 sees the fault
     ("cross-family-flipped", vertexops, "_vertex_factors",
      _first_cross_family_flipped, vertex_routes_small),
+    # products and skews outside the Pieri rules look it up in schurring
+    ("lr-tableaux-drops-last", schurring, "_lr_tableaux",
+     _last_key_dropped, clifford_small),
+    ("lr-tableaux-multiplicities-lowered", schurring, "_lr_tableaux",
+     _multiplicities_lowered, lr_multiplicities_small),
 ]
 
 

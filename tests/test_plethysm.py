@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from symvertex.partitions import (conjugate, partitions_of, partitions_up_to,
                                   weight)
-from symvertex.plethysm import (DegreeBudgetError, cauchy_dual_pi_schur,
-                                cauchy_pi_schur, dual_pi_schur, pi_branch,
-                                pi_schur, pi_unbranch, plethysm, series_term)
+from symvertex.plethysm import (cauchy_dual_pi_schur, cauchy_pi_schur,
+                                dual_pi_schur, pi_branch, pi_schur,
+                                pi_unbranch, plethysm, series_term)
 from symvertex.schurring import SymFunc
 
 S = SymFunc.schur
@@ -30,14 +30,6 @@ class TestPlethysm:
     @given(small_partitions)
     def test_single_box_inner_is_identity(self, mu):
         assert plethysm(mu, S((1,))) == S(mu)
-
-    def test_budget_rejected(self):
-        with pytest.raises(DegreeBudgetError):
-            plethysm((2,), S((8,)))
-
-    def test_budget_override(self):
-        val = plethysm((2,), S((8,)), budget=16)
-        assert val.degree() == 16
 
     def test_constant_inner(self):
         # substituting a scalar: every power sum evaluates to the constant

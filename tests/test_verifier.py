@@ -77,17 +77,9 @@ class TestReport:
     def _small_report(self, perturb=False):
         return verify_zero_modes(perturb=perturb, **SMALL["zero-modes"])
 
-    def test_obj_roundtrip(self):
-        rep = self._small_report()
-        back = VerificationReport.from_obj(rep.to_obj())
-        assert back == rep
-
     def test_obj_is_json_serializable(self):
         rep = self._small_report(perturb=True)
-        text = json.dumps(rep.to_obj())
-        back = VerificationReport.from_obj(json.loads(text))
-        assert back.cases_run == rep.cases_run
-        assert len(back.failures) == len(rep.failures)
+        assert json.loads(json.dumps(rep.to_obj())) == rep.to_obj()
 
     def test_summary_line_pass(self):
         rep = self._small_report()
@@ -99,31 +91,18 @@ class TestReport:
 
     def test_summary_line_fail_truncates(self):
         rep = self._small_report(perturb=True)
-        assert len(rep.failures) > 2
-        lines = rep.summary_lines(max_failures=2)
+        assert len(rep.failures) > 5
+        lines = rep.summary_lines()
+        assert len(lines) == 7
         assert lines[0].endswith("-> FAIL")
         assert lines[1].startswith("  FAIL ")
         assert lines[-1] == ("  ... and %d more failures"
-                             % (len(rep.failures) - 2))
+                             % (len(rep.failures) - 5))
 
     def test_passed_reflects_failures(self):
         ok = VerificationReport("x", {}, 3, [], 1)
         bad = VerificationReport("x", {}, 3, [{"inputs": {}}], 1)
         assert ok.passed() and not bad.passed()
-
-
-class TestDeterminism:
-    def test_jobs_do_not_change_report(self):
-        rep1 = verify_reordering(jobs=1, **SMALL["reordering"])
-        rep4 = verify_reordering(jobs=4, **SMALL["reordering"])
-        o1, o4 = rep1.to_obj(), rep4.to_obj()
-        o1["elapsed_ms"] = o4["elapsed_ms"] = 0
-        assert o1 == o4
-
-    def test_jobs_do_not_change_failures(self):
-        rep1 = verify_clifford(jobs=1, perturb=True, **SMALL["clifford"])
-        rep4 = verify_clifford(jobs=4, perturb=True, **SMALL["clifford"])
-        assert rep1.failures == rep4.failures
 
 
 class TestFailureReplay:
@@ -409,10 +388,9 @@ class TestMulInto:
 class TestSeriesTermFault:
     # a sign error in each branch of series_term, computed past the memo
     PLANTS = {
-        "L": lambda shape, r: plethysm((1,) * r, shape,
-                                       budget=None).scale((-1) ** (r + 1)),
-        "M": lambda shape, r: plethysm((r,), shape,
-                                       budget=None).scale(-1),
+        "L": lambda shape, r: plethysm((1,) * r, shape).scale(
+            (-1) ** (r + 1)),
+        "M": lambda shape, r: plethysm((r,), shape).scale(-1),
     }
 
     # kernel shapes [], [1] to r = 6 and [2], [1,1] to r = 3; the column

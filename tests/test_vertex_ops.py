@@ -184,7 +184,8 @@ class TestModes:
 
     def test_kind_spellings(self):
         st0 = ChargedState.vacuum(0, S((1,)))
-        assert mode((2,), "Xstar", 0, st0) == mode((2,), "X*", 0, st0)
+        with pytest.raises(ValueError, match="'X' or 'Xstar'"):
+            mode((2,), "X*", 0, st0)
 
     def test_linearity_over_sectors(self):
         st0 = ChargedState({0: ONE, 1: S((1,))})
@@ -323,13 +324,6 @@ class TestAnticommutator:
         st0 = ChargedState.vacuum(0, S((2,)))
         got = anticommutator((2,), "X", 2, "Xstar", -1, st0)
         assert got == ChargedState()
-
-    def test_mismatched_shapes_rejected(self):
-        st0 = ChargedState.vacuum(0, ONE)
-        with pytest.raises(ValueError):
-            anticommutator((2,), "X", 0, "Xstar", 0, st0, pi_b=(1, 1))
-        got = anticommutator((2,), "X", 0, "Xstar", 0, st0, pi_b=(2,))
-        assert got == st0
 
 
 # apply_chain, mode and anticommutator as they ran before the vertex layer
