@@ -249,7 +249,7 @@ def _run_mode(args, config):
         raise CliError("--state", str(e))
     if args.charge:
         state = state.shift_charge(args.charge)
-    top = max([f.degree() for f in state.sectors.values()] or [0])
+    top = state.degree()
     _check_budget(config, weight(args.pi) + top + abs(args.m),
                   "mode m=%d on a degree-%d state" % (args.m, top))
     out = apply_mode(args.pi, args.kind, args.m, state)

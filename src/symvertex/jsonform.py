@@ -22,7 +22,7 @@ def _field(rec, name, convert):
                          % (name, json.dumps(rec)))
     try:
         return convert(rec[name])
-    except (TypeError, ValueError, ZeroDivisionError) as e:
+    except (TypeError, ValueError) as e:
         raise ValueError("field %r: %s" % (name, e))
 
 
@@ -33,6 +33,13 @@ def _int(value):
         raise ValueError("expected an integer or a decimal string, got %r"
                          % (value,))
     return int(value)
+
+
+def _nonzero_int(value):
+    n = _int(value)
+    if not n:
+        raise ValueError("expected a nonzero integer, got 0")
+    return n
 
 
 # #### SymFunc ####
@@ -57,7 +64,7 @@ def symfunc_from_obj(obj):
         lam = _field(rec, "partition",
                      lambda parts: partition(map(_int, parts)))
         num = _field(rec, "num", _int)
-        c = _field(rec, "den", lambda den: Fraction(num, _int(den)))
+        c = _field(rec, "den", lambda den: Fraction(num, _nonzero_int(den)))
         if lam in d:
             raise ValueError("duplicate partition %r in input" % (lam,))
         d[lam] = c
@@ -83,15 +90,9 @@ def state_from_obj(obj):
 
 # #### LaurentMap ####
 
-def _value_to_obj(val):
-    if isinstance(val, ChargedState):
-        return state_to_obj(val)
-    return symfunc_to_obj(val)
-
-
 def laurent_to_obj(lmap):
     return {"vars": list(lmap.vars),
-            "coeffs": [{"exp": list(e), "value": _value_to_obj(v)}
+            "coeffs": [{"exp": list(e), "value": symfunc_to_obj(v)}
                        for e, v in sorted(lmap.data.items())]}
 
 
@@ -131,7 +132,7 @@ def parse_symfunc_text(text):
         coeff = Fraction(1)
         if m.group("num") is not None:
             coeff = Fraction(int(m.group("num")),
-                             int(m.group("den") or 1))
+                             _nonzero_int(m.group("den") or 1))
         if op == "-":
             coeff = -coeff
         mono = m.group("mono1") or m.group("mono2")

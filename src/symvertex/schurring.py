@@ -108,60 +108,39 @@ def centralizer_order(rho):
 # #### Pieri rules ####
 
 def pieri_row(lam, k):
-    """Partitions obtained from lam by adding a horizontal strip of size k."""
-    n = len(lam)
+    """Partitions obtained from lam by adding a horizontal strip of size k
+    (by removing one of size -k when k < 0), in decreasing lexicographic
+    order.
+
+    A horizontal strip has at most one box per column, so row i moves by at
+    most its room: the gap to the row above when adding (k for row 0, and
+    one new row may open below lam), the gap to the row below when
+    removing.
+    """
+    gaps = tuple(a - b for a, b in zip(lam, lam[1:] + (0,)))
+    if k > 0:
+        pad, room, step = lam + (0,), (k,) + gaps, 1
+    else:
+        pad, room, step = lam, gaps, -1
     out = []
 
     def rec(i, rem, prefix):
-        low = lam[i] if i < n else 0
-        cap = lam[i - 1] if i >= 1 else low + rem
-        hi = min(cap, low + rem)
-        for v in range(hi, low - 1, -1):
-            nxt = prefix + [v]
-            left = rem - (v - low)
-            if i == n:
-                if left == 0:
-                    out.append(partition(nxt))
-            else:
-                rec(i + 1, left, nxt)
+        if not rem:
+            out.append(partition(prefix + list(pad[i:])))
+        elif i < len(pad):
+            moves = range(min(room[i], rem) + 1)
+            for d in reversed(moves) if k > 0 else moves:
+                rec(i + 1, rem - d, prefix + [pad[i] + step * d])
 
-    if k == 0:
-        return [partition(lam)]
-    rec(0, k, [])
-    return out
-
-
-def pieri_row_down(lam, k):
-    """Partitions obtained from lam by removing a horizontal strip of size k."""
-    n = len(lam)
-    out = []
-
-    def rec(i, rem, prefix):
-        if rem < 0:
-            return
-        if i == n:
-            if rem == 0:
-                out.append(partition(prefix))
-            return
-        low = lam[i + 1] if i + 1 < n else 0
-        for v in range(lam[i], low - 1, -1):
-            rec(i + 1, rem - (lam[i] - v), prefix + [v])
-
-    if k == 0:
-        return [partition(lam)]
-    rec(0, k, [])
+    rec(0, abs(k), [])
     return out
 
 
 def pieri_col(lam, k):
-    """Partitions obtained from lam by adding a vertical strip of size k:
-    the conjugates of adding a horizontal strip to the conjugate."""
+    """Partitions obtained from lam by adding a vertical strip of size k
+    (by removing one of size -k when k < 0): the conjugates of the
+    horizontal strips of the conjugate."""
     return [conjugate(nu) for nu in pieri_row(conjugate(lam), k)]
-
-
-def pieri_col_down(lam, k):
-    """Partitions obtained from lam by removing a vertical strip of size k."""
-    return [conjugate(nu) for nu in pieri_row_down(conjugate(lam), k)]
 
 
 def _is_column(p):
@@ -262,9 +241,9 @@ def skew_schur_pair(mu, lam):
     if found is not None:
         return found
     if len(mu) == 1:
-        res = {nu: 1 for nu in pieri_row_down(lam, mu[0])}
+        res = {nu: 1 for nu in pieri_row(lam, -mu[0])}
     elif _is_column(mu):
-        res = {nu: 1 for nu in pieri_col_down(lam, len(mu))}
+        res = {nu: 1 for nu in pieri_col(lam, -len(mu))}
     else:
         res = _lr_tableaux(mu, lam=lam)
     res = _skew_memo[key] = MappingProxyType(res)

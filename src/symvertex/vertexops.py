@@ -7,11 +7,11 @@ tracking the grade: e.g. the basic creation family
     V_pi(z)  = M(z) . Madj/Ladj factors in powers of z
 
 is a FactorChain whose factors carry shapes (SymFunc values) and integer
-exponent vectors.  Chains act on SymFunc or ChargedState values and return a
-LaurentMap: finitely many exponent vectors inside a requested window, each
-with an exact value.  Termination over mixed-sign exponents comes from a
-small fixpoint plan bounding how far any factor can still move an exponent
-back into the window.
+exponent vectors.  Chains act on SymFunc values and return a LaurentMap:
+finitely many exponent vectors inside a requested window, each with an
+exact value.  Termination over mixed-sign exponents comes from a small
+fixpoint plan bounding how far any factor can still move an exponent back
+into the window.  Modes, not chains, act on charged states.
 
 Charge bookkeeping: a ChargedState is a finite sum of sectors |c, f>.  The
 creation modes raise the charge by one and read the coefficient whose index
@@ -51,9 +51,8 @@ from .schurring import (SymFunc, _LinComb, format_symfunc, product_schur_pair,
 
 class ChargedState(_LinComb):
     """Finite sum of charge sectors: a _LinComb keyed by charge whose
-    values are SymFunc, no zero sectors.  Supports the same linear
-    operations as SymFunc, applied sector by sector (none of them move
-    charge)."""
+    values are SymFunc, no zero sectors.  Addition, negation and scaling
+    act sector by sector; only shift_charge and the modes move charge."""
 
     __slots__ = ()
 
@@ -69,12 +68,6 @@ class ChargedState(_LinComb):
     @classmethod
     def vacuum(cls, charge=0, value=None):
         return cls({charge: value if value is not None else SymFunc.one()})
-
-    def __mul__(self, term):
-        return self._new({c: f * term for c, f in self.c.items()})
-
-    def skew_by(self, term):
-        return self._new({c: f.skew_by(term) for c, f in self.c.items()})
 
     def degree(self):
         return max((f.degree() for f in self.c.values()), default=0)
@@ -110,30 +103,20 @@ def normalize_window(window, varnames):
 
 
 class LaurentMap:
-    """Finitely many exponent vectors with exact values (SymFunc or
-    ChargedState), tagged with the variable names."""
+    """Finitely many exponent vectors with exact SymFunc values, tagged
+    with the variable names."""
 
     __slots__ = ("vars", "data")
 
-    def __init__(self, varnames, data=None):
+    def __init__(self, varnames):
         self.vars = tuple(varnames)
-        self.data = {tuple(int(x) for x in e): v
-                     for e, v in (data or {}).items() if v}
+        self.data = {}
 
     def get(self, exps):
         return self.data.get(tuple(exps))
 
     def items(self):
         return sorted(self.data.items())
-
-    def restrict(self, window):
-        w = normalize_window(window, self.vars)
-        out = LaurentMap(self.vars)
-        for e, v in self.data.items():
-            if all(w[self.vars[i]][0] <= e[i] <= w[self.vars[i]][1]
-                   for i in range(len(self.vars))):
-                out.data[e] = v
-        return out
 
     def __bool__(self):
         return bool(self.data)
@@ -150,19 +133,6 @@ class LaurentMap:
                             for i in range(len(self.vars)))
             bits.append("%s: %r" % (mono or "1", v))
         return "LaurentMap{%s}" % ", ".join(bits)
-
-
-def multiply_one_minus_monomial(lmap, exps, times=1):
-    """Multiply a LaurentMap by (1 - x^exps)^times for times >= 1."""
-    out = lmap
-    for _ in range(times):
-        data = {}
-        for e, v in out.data.items():
-            data[e] = data.get(e, 0) + v
-            shifted = tuple(x + y for x, y in zip(e, exps))
-            data[shifted] = data.get(shifted, 0) + (-v)
-        out = LaurentMap(out.vars, data)
-    return out
 
 
 # #### factor chains ####
@@ -323,17 +293,16 @@ def _termination_plan(chain, state_degree, window):
 
 
 def apply_chain(chain, state, window):
-    """Apply a factor chain to a SymFunc or ChargedState and collect the
-    exact coefficient of every monomial inside the window (inclusive on
-    both ends).  Returns a LaurentMap.
+    """Apply a factor chain to a SymFunc and collect the exact coefficient
+    of every monomial inside the window (inclusive on both ends).  Returns
+    a LaurentMap.
 
     The factors run on plain {exps: {lam: coeff}} dicts, and each value is
-    wrapped once at the end.  A ChargedState runs sector by sector under
-    the plan for its top degree: no factor moves charge."""
+    wrapped once at the end."""
     w = normalize_window(window, chain.vars)
     nv = len(chain.vars)
-    if not isinstance(state, (SymFunc, ChargedState)):
-        raise TypeError("state must be a SymFunc or ChargedState")
+    if not isinstance(state, SymFunc):
+        raise TypeError("state must be a SymFunc")
     out = LaurentMap(chain.vars)
     if not state:
         return out
@@ -346,57 +315,46 @@ def apply_chain(chain, state, window):
                [lo[v] - up[u + 1][v] for v in range(nv)],
                [hi[v] + down[u + 1][v] for v in range(nv)])
               for u, f in enumerate(reversed(chain.factors))]
-
-    def run(coeffs):
-        cur = {(0,) * nv: coeffs}
-        for f, (step, cap), rmax, lo_u, hi_u in stages:
-            mult = f.action == "multiply"
-            pair = product_schur_pair if mult else skew_schur_pair
-            nxt = {}
-            for exps, val in cur.items():
-                # the r whose exponent x + r*e stays inside the box
-                rlo = 0
-                rhi = (max(map(sum, val)) // step if step
-                       else cap if cap is not None else rmax)
-                for x, e, low, high in zip(exps, f.exps, lo_u, hi_u):
-                    if e > 0:
-                        rlo = max(rlo, -((x - low) // e))
-                        rhi = min(rhi, (high - x) // e)
-                    elif e < 0:
-                        rlo = max(rlo, -((high - x) // -e))
-                        rhi = min(rhi, (x - low) // -e)
-                    elif not low <= x <= high:
-                        rhi = -1
-                for r in range(rlo, rhi + 1):
-                    term = series_term(f.family, f.shape, r).c
-                    if not term:
-                        continue
-                    acc = nxt.setdefault(
-                        tuple(x + r * e for x, e in zip(exps, f.exps)), {})
-                    left, right = (val, term) if mult else (term, val)
-                    for k, a in left.items():
-                        for j, b in right.items():
-                            ab = a * b
-                            for key, m in pair(k, j).items():
-                                acc[key] = acc.get(key, 0) + ab * m
-            cur = {}
-            for e, d in nxt.items():
-                d = {k: v for k, v in d.items() if v}
-                if d:
-                    cur[e] = d
-            if not cur:
-                break
-        return {e: SymFunc._new(d) for e, d in cur.items()
+    cur = {(0,) * nv: state.c}
+    for f, (step, cap), rmax, lo_u, hi_u in stages:
+        mult = f.action == "multiply"
+        pair = product_schur_pair if mult else skew_schur_pair
+        nxt = {}
+        for exps, val in cur.items():
+            # the r whose exponent x + r*e stays inside the box
+            rlo = 0
+            rhi = (max(map(sum, val)) // step if step
+                   else cap if cap is not None else rmax)
+            for x, e, low, high in zip(exps, f.exps, lo_u, hi_u):
+                if e > 0:
+                    rlo = max(rlo, -((x - low) // e))
+                    rhi = min(rhi, (high - x) // e)
+                elif e < 0:
+                    rlo = max(rlo, -((high - x) // -e))
+                    rhi = min(rhi, (x - low) // -e)
+                elif not low <= x <= high:
+                    rhi = -1
+            for r in range(rlo, rhi + 1):
+                term = series_term(f.family, f.shape, r).c
+                if not term:
+                    continue
+                acc = nxt.setdefault(
+                    tuple(x + r * e for x, e in zip(exps, f.exps)), {})
+                left, right = (val, term) if mult else (term, val)
+                for k, a in left.items():
+                    for j, b in right.items():
+                        ab = a * b
+                        for key, m in pair(k, j).items():
+                            acc[key] = acc.get(key, 0) + ab * m
+        cur = {}
+        for e, d in nxt.items():
+            d = {k: v for k, v in d.items() if v}
+            if d:
+                cur[e] = d
+        if not cur:
+            break
+    out.data = {e: SymFunc._new(d) for e, d in cur.items()
                 if all(a <= x <= b for a, x, b in zip(lo, e, hi))}
-
-    if isinstance(state, SymFunc):
-        out.data = run(state.c)
-        return out
-    by_exps = {}
-    for c, f in state.c.items():
-        for e, val in run(f.c).items():
-            by_exps.setdefault(e, {})[c] = val
-    out.data = {e: ChargedState._new(s) for e, s in by_exps.items()}
     return out
 
 
@@ -646,32 +604,27 @@ def anticommutator(pi, kind_a, m, kind_b, n, state):
 @dataclass(eq=False)
 class NormalProduct:
     """A normal-ordered multi-vertex product: rational prefactors
-    (1 - x^exps)^power and a factor chain.  Prefactors with power -1 are
-    kept symbolic; apply() refuses them (verification cross-multiplies
-    instead)."""
+    (1 - x^exps)^power and a factor chain.  A prefactor with power p >= 0
+    is the column series of the constant p, sum_r (-1)^r C(p, r) x^(r
+    exps), so apply() runs it as one more chain factor.  Prefactors with
+    power -1 are kept symbolic; apply() refuses them (verification
+    cross-multiplies instead)."""
 
     vars: tuple
     prefactors: list  # of (exps tuple, power int)
     chain: FactorChain
 
     def apply(self, state, window):
-        w = normalize_window(window, self.vars)
-        pad_lo = {v: 0 for v in self.vars}
-        pad_hi = {v: 0 for v in self.vars}
-        for exps, power in self.prefactors:
-            if power < 0:
-                raise ValueError("inverse prefactor cannot be expanded on a "
-                                 "window; cross-multiply instead")
-            for v, e in zip(self.vars, exps):
-                if e > 0:
-                    pad_lo[v] += power * e
-                else:
-                    pad_hi[v] += power * (-e)
-        wide = {v: (w[v][0] - pad_lo[v], w[v][1] + pad_hi[v]) for v in self.vars}
-        res = apply_chain(self.chain, state, wide)
-        for exps, power in self.prefactors:
-            res = multiply_one_minus_monomial(res, exps, power)
-        return res.restrict(w)
+        """Apply the product to a SymFunc on a window, as apply_chain: the
+        prefactors are leftmost factors, applied last."""
+        if any(power < 0 for _, power in self.prefactors):
+            raise ValueError("inverse prefactor cannot be expanded on a "
+                             "window; cross-multiply instead")
+        pre = [make_factor("multiply", "L", SymFunc({(): power}), exps,
+                           self.vars)
+               for exps, power in self.prefactors]
+        return apply_chain(FactorChain(self.vars, pre + self.chain.factors),
+                           state, window)
 
     def __repr__(self):
         bits = []

@@ -1,15 +1,20 @@
 """Command-line surface: output shapes, exit codes, config plumbing."""
 
 import inspect
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from symvertex.cli import (VERIFY_FLAGS, _merge_dash_values, _t_int_list,
-                           _t_range, build_parser, main)
+from symvertex.cli import (ROUTES, VERIFY_FLAGS, _merge_dash_values,
+                           _t_int_list, _t_range, build_parser, main)
 from symvertex.config import _PARSERS, ENV_CONFIG
 from symvertex.jsonform import dumps, parse_symfunc, state_to_obj, \
     symfunc_to_obj
+from symvertex.partitions import partitions_up_to
 from symvertex.plethysm import pi_schur, plethysm
 from symvertex.schurring import SymFunc, format_symfunc
 from symvertex.verifier import SUITES
@@ -74,6 +79,10 @@ MALFORMED_ARGV = [("verify", suite, flag, value)
     ("mode", "--pi", "[]", "--kind", "X", "--m", "0", "--state",
      '{"sectors": [{"charge": 1.7, "value": '
      '[{"partition": [1], "num": 1, "den": 1}]}]}'),
+    # a zero denominator is named, in JSON and in the text shorthand
+    ("mode", "--pi", "[]", "--kind", "X", "--m", "0", "--state",
+     '[{"partition": [1], "num": 1, "den": 0}]'),
+    ("mode", "--pi", "[]", "--kind", "X", "--m", "0", "--state", "1/0"),
 ]
 
 
@@ -506,3 +515,96 @@ class TestConfigPlumbing:
                            "--config", str(cfg))
         assert code == 3
         assert "budget" in err
+
+
+# #### property: every command line keeps the exit-code contract ####
+
+def mostly(good, bad):
+    """Nine draws in ten from good, the rest from the malformed texts."""
+    return st.integers(0, 9).flatmap(
+        lambda i: good if i else st.sampled_from(bad))
+
+
+PARTITION_TEXTS = mostly(
+    st.sampled_from(partitions_up_to(3)).map(
+        lambda p: "[%s]" % ",".join(map(str, p))),
+    ["[2,3]", "[0]", "[-1]", "x", "", "[1,"])
+INT_TEXTS = mostly(st.integers(-4, 4).map(str), ["x", "1.5", ""])
+TERMS = st.dictionaries(
+    st.sampled_from(partitions_up_to(3)),
+    st.tuples(st.integers(-2, 2), mostly(st.sampled_from([1, 2, -1]), [0])),
+    max_size=3).map(lambda d: [{"partition": list(lam), "num": a, "den": b}
+                               for lam, (a, b) in d.items()])
+STATE_TEXTS = mostly(
+    st.one_of(
+        TERMS.map(json.dumps),
+        st.dictionaries(st.integers(-2, 2), TERMS, max_size=2).map(
+            lambda secs: json.dumps({"sectors": [
+                {"charge": c, "value": v} for c, v in secs.items()]})),
+        st.sampled_from(["s[1]", "s[2,1] - s[]", "1/2*s[1]", "0"])),
+    ["1/0", "", "garbage", "[1,2]", '{"sectors": 5}', "[{}]"])
+ROUTE_TEXTS = mostly(st.sampled_from(sorted(ROUTES)), ["bogus"])
+
+# subcommand -> [(flag, value strategy or None for a switch, required)]
+COMPUTING_FLAGS = {
+    "pi-schur": [("--pi", PARTITION_TEXTS, True),
+                 ("--lambda", PARTITION_TEXTS, True),
+                 ("--route", ROUTE_TEXTS, False),
+                 ("--check-oracle", None, False)],
+    "branch": [("--pi", PARTITION_TEXTS, True),
+               ("--lambda", PARTITION_TEXTS, True)],
+    "product": [("--mu", PARTITION_TEXTS, True),
+                ("--nu", PARTITION_TEXTS, True),
+                ("--check-oracle", None, False)],
+    "skew": [("--lambda", PARTITION_TEXTS, True),
+             ("--mu", PARTITION_TEXTS, True)],
+    "plethysm": [("--outer", PARTITION_TEXTS, True),
+                 ("--inner", PARTITION_TEXTS, True),
+                 ("--check-oracle", None, False)],
+    "series": [("--family", mostly(st.sampled_from(["M", "L"]), ["Q"]),
+                True),
+               ("--shape", PARTITION_TEXTS, True),
+               ("--skew", PARTITION_TEXTS, False),
+               ("--max-r", INT_TEXTS, True)],
+    "mode": [("--pi", PARTITION_TEXTS, True),
+             ("--kind", mostly(st.sampled_from(["X", "Xstar"]), ["Y"]),
+              True),
+             ("--m", INT_TEXTS, True),
+             ("--state", STATE_TEXTS, True),
+             ("--charge", INT_TEXTS, False)],
+}
+COMPUTING_FLAGS["dual-pi-schur"] = COMPUTING_FLAGS["pi-schur"]
+COMMON_FLAGS = [
+    ("--format", mostly(st.sampled_from(["text", "json"]), ["xml"]), False),
+    # at or below the default budget: a large one lets a call run for
+    # minutes
+    ("--degree-budget", mostly(st.sampled_from(["0", "4", "14"]),
+                               ["-1", "x"]), False)]
+
+
+@st.composite
+def computing_argv(draw):
+    name = draw(st.sampled_from(sorted(COMPUTING_FLAGS)))
+    argv = [name]
+    for flag, values, required in COMPUTING_FLAGS[name] + COMMON_FLAGS:
+        if draw(st.integers(0, 9)) > 0 if required else draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(computing_argv())
+def test_any_computing_argv_keeps_the_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code in (2, 3):
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("symvertex: error: "), \
+            (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -74,6 +74,12 @@ class TestSymFuncJson:
                            % field):
             symfunc_from_obj([term])
 
+    @pytest.mark.parametrize("den", [0, "0"])
+    def test_zero_denominator_named(self, den):
+        with pytest.raises(ValueError, match="^field 'den': expected a "
+                           "nonzero integer, got 0$"):
+            symfunc_from_obj([{"partition": [1], "num": 1, "den": den}])
+
     def test_ints_and_decimal_strings_accepted(self):
         got = symfunc_from_obj([{"partition": ["2", 1], "num": "-3",
                                  "den": 4},
@@ -137,7 +143,7 @@ class TestShorthand:
             S((2,)).scale(Fraction(3, 2))
 
     def test_rejects_garbage(self):
-        for bad in ("s[2,", "s[1] s[2]", "q[1]", "1 +"):
+        for bad in ("s[2,", "s[1] s[2]", "q[1]", "1 +", "1/0*s[1]"):
             with pytest.raises(ValueError):
                 parse_symfunc_text(bad)
 

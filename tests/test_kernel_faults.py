@@ -74,6 +74,13 @@ def _last_candidate_dropped(orig):
     return planted
 
 
+def _last_removal_dropped(orig):
+    def planted(lam, k):
+        out = orig(lam, k)
+        return out[:-1] if k < 0 else out
+    return planted
+
+
 def _last_pred_dropped(orig):
     def planted(nu):
         return orig(nu)[:-1]
@@ -84,6 +91,13 @@ def _bounds_one_short(orig):
     def planted(chain, state_degree, window):
         rb, down, up = orig(chain, state_degree, window)
         return [max(r - 1, 0) for r in rb], down, up
+    return planted
+
+
+def _cap_one_short(orig):
+    def planted(factor):
+        step, cap = orig(factor)
+        return step, None if cap is None else cap - 1
     return planted
 
 
@@ -211,15 +225,20 @@ FAULTS = [
     # both kernels and the shape series are built by this one routine
     ("series-factors-one-degree-short", oracle, "_series_factor_layers",
      _truncated_one_short, route_agreement_small),
-    # products and the column rules look it up in schurring
+    # products, skews and the column rules look it up in schurring; one
+    # row per sign of the strip
     ("pieri-row-drops-last", schurring, "pieri_row",
      _last_candidate_dropped, reordering_small),
-    ("pieri-row-down-drops-last", schurring, "pieri_row_down",
-     _last_candidate_dropped, reordering_small),
+    ("pieri-row-removal-drops-last", schurring, "pieri_row",
+     _last_removal_dropped, reordering_small),
     ("border-strips-sign-positive", schurring, "border_strips",
      _sign_forced_positive_strips, reordering_small),
     ("plan-bounds-one-short", vertexops, "_termination_plan",
      _bounds_one_short, reordering_small),
+    # the capped factors: the normal-ordering prefactors, on the
+    # normal-ordered side only, and constant column skews, on both sides
+    ("self-bound-constant-cap-short", vertexops, "_self_bound",
+     _cap_one_short, multivertex_small),
     # decompose detects the broken tableau sum and raises; the suite
     # records that as failed cases
     ("horiz-preds-drops-last", oracle, "_horiz_preds",

@@ -11,8 +11,8 @@ from symvertex.partitions import (conjugate, contains, partition,
                                   partitions_of, partitions_up_to, weight)
 from symvertex.schurring import (PowerExpr, SymFunc, border_strips,
                                  centralizer_order, charvalue,
-                                 format_symfunc, from_power, pieri_row,
-                                 pieri_row_down, product_schur_pair,
+                                 format_symfunc, from_power, pieri_col,
+                                 pieri_row, product_schur_pair,
                                  skew_schur_pair, to_power)
 
 S = SymFunc.schur
@@ -218,7 +218,7 @@ class TestFromPower:
             assert sorted(border_strips(lam, 1)) == \
                 sorted((nu, 1) for nu in pieri_row(lam, 1)), lam
             assert sorted(border_strips(lam, -1)) == \
-                sorted((nu, 1) for nu in pieri_row_down(lam, 1)), lam
+                sorted((nu, 1) for nu in pieri_row(lam, -1)), lam
 
     @given(symfunc_strategy(max_weight=8, max_terms=4))
     def test_roundtrip_inhomogeneous_to_weight_eight(self, f):
@@ -241,6 +241,70 @@ class TestOmega:
             for nu in partitions_up_to(3):
                 assert (S(mu) * S(nu)).omega() == \
                     S(mu).omega() * S(nu).omega()
+
+
+# the two horizontal-strip enumerators as they ran before pieri_row took
+# a signed size, kept as references
+
+
+def ref_pieri_row(lam, k):
+    n = len(lam)
+    out = []
+
+    def rec(i, rem, prefix):
+        low = lam[i] if i < n else 0
+        cap = lam[i - 1] if i >= 1 else low + rem
+        hi = min(cap, low + rem)
+        for v in range(hi, low - 1, -1):
+            nxt = prefix + [v]
+            left = rem - (v - low)
+            if i == n:
+                if left == 0:
+                    out.append(partition(nxt))
+            else:
+                rec(i + 1, left, nxt)
+
+    if k == 0:
+        return [partition(lam)]
+    rec(0, k, [])
+    return out
+
+
+def ref_pieri_row_down(lam, k):
+    n = len(lam)
+    out = []
+
+    def rec(i, rem, prefix):
+        if rem < 0:
+            return
+        if i == n:
+            if rem == 0:
+                out.append(partition(prefix))
+            return
+        low = lam[i + 1] if i + 1 < n else 0
+        for v in range(lam[i], low - 1, -1):
+            rec(i + 1, rem - (lam[i] - v), prefix + [v])
+
+    if k == 0:
+        return [partition(lam)]
+    rec(0, k, [])
+    return out
+
+
+def ref_strips(lam, k):
+    return (ref_pieri_row(lam, k) if k >= 0
+            else ref_pieri_row_down(lam, -k))
+
+
+class TestSignedPieri:
+    def test_matches_both_old_enumerators(self):
+        for lam in partitions_up_to(10):
+            for k in range(-6, 7):
+                assert set(pieri_row(lam, k)) == set(ref_strips(lam, k)), \
+                    (lam, k)
+                assert set(pieri_col(lam, k)) == {
+                    conjugate(nu)
+                    for nu in ref_strips(conjugate(lam), k)}, (lam, k)
 
 
 class TestLittlewoodRichardson:
