@@ -108,8 +108,8 @@ def _emit(config, text_fn, obj_fn):
 
 # #### computation subcommands ####
 
-def _run_pi_schur(args, config, dual):
-    pi, lam = args.pi, args.lam
+def _run_pi_schur(args, config):
+    pi, lam, dual = args.pi, args.lam, args.command == "dual-pi-schur"
     _check_budget(config, weight(lam), "pi-schur at lambda=%s"
                   % format_partition(lam))
     routes = list(args.route or [])
@@ -339,68 +339,62 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "symvertex: error: %s\n" % message)
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="config file (key = value lines); default from "
-                             "$%s" % ENV_CONFIG)
-    common.add_argument("--format", choices=("text", "json"))
-    common.add_argument("--jobs", type=_t_int_at_least(1),
-                        help="accepted for compatibility; suites run "
-                             "serially")
-    common.add_argument("--degree-budget", type=_t_count,
-                        dest="degree_budget")
+def _add_common(q):
+    q.add_argument("--config", metavar="PATH",
+                   help="config file (key = value lines); default from "
+                        "$%s" % ENV_CONFIG)
+    q.add_argument("--format", choices=("text", "json"))
+    q.add_argument("--jobs", type=_t_int_at_least(1),
+                   help="accepted for compatibility; suites run serially")
+    q.add_argument("--degree-budget", type=_t_count, dest="degree_budget")
 
-    p = _Parser(
-        prog="symvertex",
-        description="Exact symmetric-function computations, deformed Schur "
-                    "functions by independent routes, and verification "
-                    "suites for the operator identities.")
-    sub = p.add_subparsers(dest="command", required=True)
 
-    for name, dual in (("pi-schur", False), ("dual-pi-schur", True)):
-        q = sub.add_parser(name, parents=[common])
-        q.add_argument("--pi", type=_t_partition, required=True)
-        q.add_argument("--lambda", dest="lam", type=_t_partition,
-                       required=True)
-        q.add_argument("--route", action="append",
-                       choices=sorted(ROUTES))
-        q.add_argument("--check-oracle", action="store_true",
-                       dest="check_oracle")
-        q.set_defaults(run=lambda a, c, d=dual: _run_pi_schur(a, c, d))
+def _add_pi_schur(q):
+    q.add_argument("--pi", type=_t_partition, required=True)
+    q.add_argument("--lambda", dest="lam", type=_t_partition, required=True)
+    q.add_argument("--route", action="append", choices=sorted(ROUTES))
+    q.add_argument("--check-oracle", action="store_true",
+                   dest="check_oracle")
+    q.set_defaults(run=_run_pi_schur)
 
-    q = sub.add_parser("branch", parents=[common])
+
+def _add_branch(q):
     q.add_argument("--pi", type=_t_partition, required=True)
     q.add_argument("--lambda", dest="lam", type=_t_partition, required=True)
     q.set_defaults(run=_run_branch)
 
-    q = sub.add_parser("product", parents=[common])
+
+def _add_product(q):
     q.add_argument("--mu", type=_t_partition, required=True)
     q.add_argument("--nu", type=_t_partition, required=True)
     q.add_argument("--check-oracle", action="store_true",
                    dest="check_oracle")
     q.set_defaults(run=_run_product)
 
-    q = sub.add_parser("skew", parents=[common])
+
+def _add_skew(q):
     q.add_argument("--lambda", dest="lam", type=_t_partition, required=True)
     q.add_argument("--mu", type=_t_partition, required=True)
     q.set_defaults(run=_run_skew)
 
-    q = sub.add_parser("plethysm", parents=[common])
+
+def _add_plethysm(q):
     q.add_argument("--outer", type=_t_partition, required=True)
     q.add_argument("--inner", type=_t_partition, required=True)
     q.add_argument("--check-oracle", action="store_true",
                    dest="check_oracle")
     q.set_defaults(run=_run_plethysm)
 
-    q = sub.add_parser("series", parents=[common])
+
+def _add_series(q):
     q.add_argument("--family", choices=("M", "L"), required=True)
     q.add_argument("--shape", type=_t_partition, required=True)
     q.add_argument("--skew", type=_t_partition)
     q.add_argument("--max-r", dest="max_r", type=_t_count, required=True)
     q.set_defaults(run=_run_series)
 
-    q = sub.add_parser("mode", parents=[common])
+
+def _add_mode(q):
     q.add_argument("--pi", type=_t_partition, required=True)
     q.add_argument("--kind", choices=("X", "Xstar"), required=True)
     q.add_argument("--m", type=int, required=True)
@@ -410,7 +404,8 @@ def build_parser():
     q.add_argument("--charge", type=int, default=0)
     q.set_defaults(run=_run_mode)
 
-    q = sub.add_parser("verify", parents=[common])
+
+def _add_verify(q):
     q.add_argument("suite", choices=sorted(SUITES))
     q.add_argument("--perturb", action="store_true",
                    help="wire in the suite's deliberate mutation (must fail)")
@@ -420,6 +415,32 @@ def build_parser():
         q.add_argument(flag, **options)
     q.set_defaults(run=_run_verify)
 
+
+# subcommand -> function adding its own flags, in the order of the help
+_SUBCOMMANDS = {
+    "pi-schur": _add_pi_schur, "dual-pi-schur": _add_pi_schur,
+    "branch": _add_branch, "product": _add_product, "skew": _add_skew,
+    "plethysm": _add_plethysm, "series": _add_series, "mode": _add_mode,
+    "verify": _add_verify,
+}
+
+
+def build_parser(command=None):
+    """The argument parser.  A known subcommand name builds the top parser
+    and that subcommand's parser only, which is all a call that runs it
+    needs (`main` passes the first argument).  With no name, or with any
+    other text (`-h`, `--help`, an unknown name), it builds all nine, so
+    the top-level help and the invalid-choice error list every name."""
+    p = _Parser(
+        prog="symvertex",
+        description="Exact symmetric-function computations, deformed Schur "
+                    "functions by independent routes, and verification "
+                    "suites for the operator identities.")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name in [command] if command in _SUBCOMMANDS else _SUBCOMMANDS:
+        q = sub.add_parser(name)
+        _add_common(q)
+        _SUBCOMMANDS[name](q)
     return p
 
 
@@ -446,9 +467,9 @@ def _merge_dash_values(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_merge_dash_values(argv))
+    args = build_parser(argv[0] if argv else None).parse_args(
+        _merge_dash_values(argv))
     try:
         config = load_config(args.config)
         for attr in ("format", "jobs", "degree_budget"):

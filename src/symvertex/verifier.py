@@ -108,7 +108,7 @@ def _reordering_sides(case, pi, perturb=False):
     lhs = FactorChain(vs, [make_factor("skew", perp, spi, (1, 0), vs),
                            make_factor("multiply", mul, s1, (0, 1), vs)])
     rfacts = [make_factor("multiply", mul, s1, (0, 1), vs)]
-    tops = range((pi[0] if mul == "M" else len(pi)) + 1)
+    tops = range((max(pi, default=0) if mul == "M" else len(pi)) + 1)
     for k in tops:
         if mul == "M":
             shape = spi if k == 0 else spi.skew_by((k,))

@@ -152,9 +152,6 @@ class Factor:
     exps: tuple
     label: str = ""
 
-    def term(self, r):
-        return series_term(self.family, self.shape, r)
-
     def __repr__(self):
         return "Factor(%s)" % (self.label or
                                "%s %s %s" % (self.action, self.family, self.exps))

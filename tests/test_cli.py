@@ -6,7 +6,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from symvertex.cli import (ROUTES, VERIFY_FLAGS, _merge_dash_values,
@@ -592,9 +592,65 @@ def computing_argv(draw):
     return argv
 
 
-@settings(max_examples=300,
+COUNT_TEXTS = mostly(st.integers(0, 3).map(str), ["-1", "x", ""])
+RANGE_TEXTS = mostly(
+    st.tuples(st.integers(-2, 1), st.integers(0, 2)).map(
+        lambda t: "%d..%d" % (t[0], t[0] + t[1])),
+    ["1..0", "a..b", "1", ""])
+
+# verify flag -> (value strategy or None for a switch, whether it is drawn
+# whenever the suite takes it).  The flags drawn always bound a suite's
+# ranges, so no suite runs at its full defaults.
+VERIFY_VALUES = {
+    "--cases": (mostly(st.sampled_from(["MM", "LM,ML", "LL"]), ["XX", ""]),
+                False),
+    "--pi": (PARTITION_TEXTS, True),
+    "--window": (RANGE_TEXTS, True),
+    "--test-degree": (COUNT_TEXTS, True),
+    "--charge-range": (RANGE_TEXTS, True),
+    "--mode-range": (RANGE_TEXTS, True),
+    "--degree-bound": (COUNT_TEXTS, True),
+    "--charges": (mostly(st.sampled_from(["0", "-1,1"]), [",", "x"]), False),
+    "--m": (mostly(st.integers(1, 3).map(str), ["0", "x"]), True),
+    "--dual": (mostly(st.sampled_from(["false", "true", "both"]), ["maybe"]),
+               False),
+    "--max-weight": (COUNT_TEXTS, True),
+    "--max-length": (COUNT_TEXTS, True),
+    "--skip-oracle": (None, False),
+    "--skip-vertex": (None, False),
+    "--max-sigma-weight": (COUNT_TEXTS, True),
+    "--max-zweight": (mostly(st.integers(0, 6).map(str), ["-1", "x"]), True),
+}
+
+
+@st.composite
+def verify_argv(draw):
+    suite = draw(st.sampled_from(sorted(SUITES)))
+    argv = ["verify", suite]
+    # once in ten draws, one flag the suite does not take
+    extra = draw(mostly(st.none(), [flag for flag, (_, keywords)
+                                    in VERIFY_FLAGS.items()
+                                    if suite not in keywords]))
+    for flag, (_, keywords) in VERIFY_FLAGS.items():
+        values, bounding = VERIFY_VALUES[flag]
+        if flag == extra or suite in keywords and (bounding
+                                                   or draw(st.booleans())):
+            argv += [flag] if values is None else [flag, draw(values)]
+    if draw(st.integers(0, 3)) == 3:
+        argv.append("--perturb")
+    for flag, values, _ in COMMON_FLAGS:
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=400,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(computing_argv())
+@given(st.one_of(computing_argv(), verify_argv()))
+# the empty pi took `_reordering_sides` to an IndexError
+@example(["verify", "reordering", "--pi", "[0]", "--test-degree", "1"])
+@example(["verify", "reordering", "--pi", "[]", "--test-degree", "1",
+          "--perturb"])
 def test_any_computing_argv_keeps_the_exit_codes(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -603,8 +659,32 @@ def test_any_computing_argv_keeps_the_exit_codes(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code)
+    # every kernel and suite is right on these ranges: only a planted
+    # mutation fails a check
+    assert code != 1 or "--perturb" in argv, (argv, out.getvalue())
     if code in (2, 3):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("symvertex: error: "), \
             (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+def parse(parser, argv):
+    """The namespace of argv, or the exit code and error text."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(_merge_dash_values(argv)))
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def whole_tree():
+    return build_parser()
+
+
+@settings(max_examples=300)
+@given(argv=st.one_of(computing_argv(), verify_argv()))
+def test_own_subparser_parses_as_the_whole_tree(whole_tree, argv):
+    assert parse(build_parser(argv[0]), argv) == parse(whole_tree, argv)

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -185,13 +181,3 @@ class TestWidths:
         call()
         assert seen == widths
 
-
-def test_import_leaves_numpy_unloaded():
-    src = os.path.dirname(os.path.dirname(oracle.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, symvertex; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "False"

@@ -1,5 +1,8 @@
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import symvertex
@@ -35,3 +38,18 @@ def test_tracer_targets_resolve():
             missing.append("%s.%s" % (modname, memo))
     assert not missing
     assert {t[0] for t in tracing.TARGETS} <= set(tracing.MODULES)
+
+
+def test_import_loads_no_cli_argparse_or_numpy():
+    # the README promises no numpy, and whatever `import symvertex` loads is
+    # paid by every program and by the benchmark's set-up; the CLI and its
+    # argparse are loaded only by a program that parses a command line
+    src = os.path.dirname(os.path.dirname(symvertex.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, symvertex; print(sorted(m for m in sys.modules if m "
+            "in ('symvertex.cli', 'argparse', 'numpy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

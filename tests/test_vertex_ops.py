@@ -366,7 +366,7 @@ def ref_apply_chain(chain, state, window):
                     elif e < 0:
                         rmax = min(rmax, (exps[v] - lo_u[v]) // (-e))
             for r in range(rmax + 1):
-                term = f.term(r)
+                term = series_term(f.family, f.shape, r)
                 if not term:
                     continue
                 ne = tuple(x + r * e for x, e in zip(exps, f.exps))
@@ -711,7 +711,7 @@ class TestLaurentAndStates:
         vs = ("z", "w")
         f = make_factor("multiply", "M", S((2,)), (1, 0), vs)
         for r in range(4):
-            val = f.term(r)
+            val = series_term(f.family, f.shape, r)
             assert {weight(lam) for lam in val.c} == {2 * r}
         g = make_factor("skew", "L", S((1, 1)), (0, 2), vs)
-        assert g.term(3).degree() == 6
+        assert series_term(g.family, g.shape, 3).degree() == 6
