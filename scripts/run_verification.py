@@ -2,11 +2,12 @@
 
 Two scales are wired in: `quick` keeps every suite under a second or two
 (useful while hacking), `full` passes no parameters, so each suite runs at
-its own defaults, which are the ranges the acceptance tests use.  Exit
-status is 0 only if every selected suite passes.
+its own defaults, which are the ranges the acceptance tests use.  The
+suites run one after another in this process.  Exit status is 0 only if
+every selected suite passes.
 
     python scripts/run_verification.py
-    python scripts/run_verification.py --scale full --jobs 8 --out report.json
+    python scripts/run_verification.py --scale full --out report.json
     python scripts/run_verification.py --suite clifford --suite zero-modes
 """
 
@@ -31,8 +32,6 @@ def parse_args(argv=None):
     ap.add_argument("--suite", action="append", choices=sorted(SUITES),
                     help="repeatable; default is every suite")
     ap.add_argument("--scale", choices=("quick", "full"), default="quick")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility; suites run serially")
     ap.add_argument("--perturb", action="store_true",
                     help="run the deliberate mutations (suites must FAIL)")
     ap.add_argument("--out", default="", help="write the reports as JSON")

@@ -142,10 +142,8 @@ def _run_pi_schur(args, config):
 def _run_branch(args, config):
     _check_budget(config, weight(args.lam), "branch at lambda=%s"
                   % format_partition(args.lam))
-    value = pi_branch(args.pi, SymFunc.schur(args.lam))
-    _emit(config, lambda: format_symfunc(value),
-          lambda: symfunc_to_obj(value))
-    return 0
+    return _run_checked(config, pi_branch(args.pi, SymFunc.schur(args.lam)),
+                        None)
 
 
 def _run_checked(config, value, oracle_value):
@@ -183,10 +181,8 @@ def _run_product(args, config):
 def _run_skew(args, config):
     _check_budget(config, weight(args.lam), "skew at lambda=%s"
                   % format_partition(args.lam))
-    value = SymFunc.schur(args.lam).skew_by(args.mu)
-    _emit(config, lambda: format_symfunc(value),
-          lambda: symfunc_to_obj(value))
-    return 0
+    return _run_checked(config, SymFunc.schur(args.lam).skew_by(args.mu),
+                        None)
 
 
 def _run_plethysm(args, config):
@@ -344,6 +340,8 @@ def _add_common(q):
                    help="config file (key = value lines); default from "
                         "$%s" % ENV_CONFIG)
     q.add_argument("--format", choices=("text", "json"))
+    # parsed and ignored, so that command lines written for the thread
+    # pool still run
     q.add_argument("--jobs", type=_t_int_at_least(1),
                    help="accepted for compatibility; suites run serially")
     q.add_argument("--degree-budget", type=_t_count, dest="degree_budget")
@@ -472,7 +470,7 @@ def main(argv=None):
         _merge_dash_values(argv))
     try:
         config = load_config(args.config)
-        for attr in ("format", "jobs", "degree_budget"):
+        for attr in ("format", "degree_budget"):
             val = getattr(args, attr)
             if val is not None:
                 setattr(config, attr, val)

@@ -1,4 +1,4 @@
-"""Runtime configuration of the CLI: degree budget, output format, jobs.
+"""Runtime configuration of the CLI: degree budget and output format.
 
 A config file is plain ``key = value`` lines (# comments allowed); the
 environment variable SYMVERTEX_CONFIG names a default file.  Command-line
@@ -23,14 +23,11 @@ class CliConfig:
     """The CLI's own settings."""
 
     degree_budget: int = 14
-    jobs: int = 1
     format: str = "text"
 
     def validate(self):
         if self.degree_budget < 0:
             raise ConfigError("degree_budget must be >= 0")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         if self.format not in ("text", "json"):
             raise ConfigError("format must be 'text' or 'json'")
         return self
@@ -38,7 +35,6 @@ class CliConfig:
 
 _PARSERS = {
     "degree_budget": int,
-    "jobs": int,
     "format": lambda s: s.strip(),
 }
 

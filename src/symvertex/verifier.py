@@ -84,8 +84,9 @@ def _laurent_diff(a, b):
     return da, db
 
 
-def _default_pis(max_weight=4):
-    return [p for w in range(1, max_weight + 1) for p in partitions_of(w)]
+# the shapes of weight 1 to 4: the default of reordering, theorem2 and
+# inverse-series
+DEFAULT_PIS = tuple(p for w in range(1, 5) for p in partitions_of(w))
 
 
 # #### suite: reordering ####
@@ -125,11 +126,11 @@ def _reordering_sides(case, pi, perturb=False):
     return lhs, FactorChain(vs, rfacts)
 
 
-def verify_reordering(cases=REORDERING_CASES, pis=None, window=(0, 4),
+def verify_reordering(cases=REORDERING_CASES, pis=DEFAULT_PIS, window=(0, 4),
                       test_degree=5, perturb=False):
     """Coefficientwise equality of the four adjoint/multiplication
     reorderings on every Schur input up to test_degree."""
-    pis = _default_pis() if pis is None else [partition(p) for p in pis]
+    pis = [partition(p) for p in pis]
     lams = partitions_up_to(test_degree)
     win = {"z": tuple(window), "w": tuple(window)}
     keys = [(case, pi, lam) for case in cases for pi in pis for lam in lams]
@@ -351,14 +352,14 @@ _ROUTE_CHECKS = ("routes", "dual-routes", "conjugate-pairing",
                  "branch-roundtrip")
 
 
-def verify_route_agreement(pis=None, max_weight=6, max_length=3,
+def verify_route_agreement(pis=DEFAULT_PIS, max_weight=6, max_length=3,
                            include_oracle=True, include_vertex=True,
                            perturb=False):
     """All independent constructions of the deformed Schur functions agree:
     adjoint series, coefficient-extraction, vertex strings, and the literal
     monomial oracle; plus the conjugate pairing between the two families and
     the branching round trip."""
-    pis = _default_pis() if pis is None else [partition(p) for p in pis]
+    pis = [partition(p) for p in pis]
     lams = partitions_up_to(max_weight, max_length=max_length)
     keys = [(pi, lam, check) for pi in pis for lam in lams
             for check in _ROUTE_CHECKS]
@@ -484,8 +485,8 @@ def _power_obj(d, bits, scale):
             for u, v in sorted(d.items(), reverse=True) if v}
 
 
-def verify_inverse_series(max_sigma_weight=3, max_zweight=12, hook_pis=None,
-                          perturb=False):
+def verify_inverse_series(max_sigma_weight=3, max_zweight=12,
+                          hook_pis=DEFAULT_PIS, perturb=False):
     """The row and signed-column series of any shape are mutually inverse:
     plain shapes up to max_sigma_weight, and the hook-indexed skew shapes
     paired on the diagonal of the mixed two-vertex product, with the formal
@@ -495,8 +496,7 @@ def verify_inverse_series(max_sigma_weight=3, max_zweight=12, hook_pis=None,
     As that holds for any sequence Q_k, the Newton terms are also checked
     against plethysm.series_term, the kernel's own series: on the plain
     shapes at every degree, on the hook shapes up to degree 2."""
-    hook_pis = (_default_pis() if hook_pis is None
-                else [partition(p) for p in hook_pis])
+    hook_pis = [partition(p) for p in hook_pis]
     keys = []
     shapes = {}  # skey -> (shape, largest rmax of its cases)
     terms = {}   # skey -> _series_power_terms(shape, rmax)

@@ -26,9 +26,7 @@ h_(n+i) e_i-adj, where B_n s_mu = s_(n, mu) is straightened by Jacobi-Trudi
 (Macdonald I.5 Ex. 29); the dual pair is (-1)^n omega B_n omega.  On s_lam
 the z^j coefficient is sum_e B_(j-e) S_e, S_e the z^e coefficient of the
 other (skew) factors; a stage infinite in e is cut at e <= j + |lam|,
-exactly, since B_n s_mu = 0 for n < -len(mu).  Each (pi, kind) builds its
-chain once, in an internal memo: chains are mutable, so it is never
-handed out.
+exactly, since B_n s_mu = 0 for n < -len(mu).
 
 Inner loops accumulate into plain {key: coeff} dicts -- {exps: {lam:
 coeff}} in apply_chain, {charge: {nu: coeff}} in modes and anticommutators
@@ -66,8 +64,8 @@ class ChargedState(_LinComb):
         return self.c
 
     @classmethod
-    def vacuum(cls, charge=0, value=None):
-        return cls({charge: value if value is not None else SymFunc.one()})
+    def vacuum(cls, charge, value):
+        return cls({charge: value})
 
     def degree(self):
         return max((f.degree() for f in self.c.values()), default=0)
@@ -84,10 +82,8 @@ class ChargedState(_LinComb):
 # #### Laurent coefficient maps and windows ####
 
 def normalize_window(window, varnames):
-    """Accept {var: (lo, hi)}, a single (lo, hi), or a single int w meaning
-    (-w, w) for every variable; return {var: (lo, hi)} (inclusive ends)."""
-    if isinstance(window, int):
-        window = (-window, window)
+    """Accept {var: (lo, hi)} or a single (lo, hi) for every variable;
+    return {var: (lo, hi)} (inclusive ends)."""
     if isinstance(window, tuple) and len(window) == 2 and all(
             isinstance(x, int) for x in window):
         window = {v: window for v in varnames}
@@ -453,15 +449,6 @@ def vertex_string(pi, lam, dual=False):
 
 _mode_memo = {}
 _stage_memo = {}  # (pi, dual, lam) -> _skew_stage
-_plan_checked = set()  # (pi, dual, |lam|, j) whose chain plan did not refuse
-_chain_memo = {}  # (pi, dual) -> build_vertex chain; internal: chains mutate
-
-
-def _vertex_chain(pi, dual):
-    chain = _chain_memo.get((pi, dual))
-    if chain is None:
-        chain = _chain_memo[pi, dual] = build_vertex(pi, dual=dual)
-    return chain
 
 
 def _straighten(n, mu):
@@ -482,21 +469,21 @@ def _straighten(n, mu):
 
 
 def _skew_stage(pi, dual, lam):
-    """build_vertex(pi, dual).factors[2:] applied to s_lam, as ({e: {mu:
-    coeff}}, period) over the z^e coefficients; memoized.  For the dual
-    kind every mu is conjugated, as it is straightened in that form.  The
-    row series on 1, for a dual odd column of height k, is sum_r z^(kr)
-    times the identity, infinite in e: it is left to the caller as period
-    k.  Every other factor is bounded by degree or by a finite series, so
-    the window never cuts them."""
+    """The factors of build_vertex(pi, dual) after its first two, applied
+    to s_lam, as ({e: {mu: coeff}}, period) over the z^e coefficients;
+    memoized.  For the dual kind every mu is conjugated, as it is
+    straightened in that form.  The row series on 1, for a dual odd column
+    of height k, is sum_r z^(kr) times the identity, infinite in e: it is
+    left to the caller as period k.  Every other factor is bounded by
+    degree or by a finite series, so the window never cuts them."""
     key = (pi, dual, lam)
     if key not in _stage_memo:
-        chain = _vertex_chain(pi, dual)
-        ones = [f for f in chain.factors[2:]
+        factors = _vertex_factors(pi, (dual,), ("z",))[2:]
+        ones = [f for f in factors
                 if f.family == "M" and f.shape == SymFunc.one()]
-        skews = [f for f in chain.factors[2:] if f not in ones]
+        skews = [f for f in factors if f not in ones]
         period = ones[0].exps[0] if ones else 0
-        res = apply_chain(FactorChain(chain.vars, skews), SymFunc.schur(lam),
+        res = apply_chain(FactorChain(("z",), skews), SymFunc.schur(lam),
                           (0, sys.maxsize))
         _stage_memo[key] = {
             e: {(conjugate(mu) if dual else mu): c for mu, c in v.c.items()}
@@ -512,16 +499,12 @@ def _vertex_coefficient(pi, dual, j, lam):
     It is sum_e B_(j-e) S_e over the z^e coefficients S_e of _skew_stage,
     each B_n s_mu one _straighten term (dual: (-1)^n omega B_n omega, the
     inner omega held by the stage, the outer applied once to the sum); a
-    periodic stage is cut at e <= j + |lam|: B_n s_mu = 0 for n < -len(mu).
-    The chain's plan runs once per (pi, dual, |lam|, j) for its refusals."""
+    periodic stage is cut at e <= j + |lam|: B_n s_mu = 0 for n < -len(mu)."""
     key = (pi, dual, j, lam)
     found = _mode_memo.get(key)
     if found is not None:
         return found
     d = weight(lam)
-    if (pi, dual, d, j) not in _plan_checked:
-        _termination_plan(_vertex_chain(pi, dual), d, {"z": (j, j)})
-        _plan_checked.add((pi, dual, d, j))
     stage, period = _skew_stage(pi, dual, lam)
     acc = {}
     for e0, val in stage.items():
@@ -632,19 +615,17 @@ class NormalProduct:
         return " ".join(bits)
 
 
-def normal_ordered_string(pi, duals, varnames=None):
+def normal_ordered_string(pi, duals):
     """Normal-ordered form of the product of vertex operators of shape pi,
-    one per variable (annihilation where duals[i] is true; variables
-    z1..zm by default): prefactors (1 - zi^-1 zj) for i < j, all
-    multiplications left of all adjoints, and one cross-variable adjoint
-    per nonzero index tuple (see _vertex_factors).  Like kinds give the
+    one per variable z1..zm (annihilation where duals[i] is true):
+    prefactors (1 - zi^-1 zj) for i < j, all multiplications left of all
+    adjoints, and one cross-variable adjoint per nonzero index tuple (see
+    _vertex_factors).  Like kinds give the
     polynomial prefactors; mixed kinds carry their inverse, kept symbolic,
     and are only verified for two operators, so more are refused."""
     duals = tuple(duals)
     m = len(duals)
-    if varnames is None:
-        varnames = tuple("z%d" % (i + 1) for i in range(m))
-    varnames = tuple(varnames)
+    varnames = tuple("z%d" % (i + 1) for i in range(m))
     mixed = len(set(duals)) > 1
     if mixed and m > 2:
         raise ValueError("normal ordering of mixed kinds is only verified "
@@ -678,37 +659,23 @@ class ZeroModeNormalForm:
         return {v: x for v, x in e.items() if x}, c + self.shift
 
 
-def raise_charge():
-    """Primitive word element: shift the charge up by one."""
-    return ("shift", 1)
-
-
-def lower_charge():
-    """Primitive word element: shift the charge down by one."""
-    return ("shift", -1)
-
-
-def charge_monomial(var, const=0, alpha=0):
-    """Primitive word element: the monomial var^(const + alpha * charge),
-    reading the charge at its own position in the word."""
-    return ("mono", var, const, alpha)
-
-
 def creation_zero_word(var="z"):
     """Zero-mode part of a creation vertex operator: raise the charge and
     read var^charge (in display order; the word applies right to left)."""
-    return [raise_charge(), charge_monomial(var, 0, 1)]
+    return [("shift", 1), ("mono", var, 0, 1)]
 
 
 def annihilation_zero_word(var="z"):
     """Zero-mode part of an annihilation vertex operator: lower the charge
     and read var^(1 - charge)."""
-    return [lower_charge(), charge_monomial(var, 1, -1)]
+    return [("shift", -1), ("mono", var, 1, -1)]
 
 
 def zero_mode_normal_form(word):
     """Normalize a word (display order, rightmost element applied first) of
-    charge shifts and charge-reading monomials."""
+    charge shifts ("shift", k), which move the charge by k, and
+    charge-reading monomials ("mono", var, const, alpha), which read
+    var^(const + alpha * charge) at the charge of their own position."""
     shift = 0
     const = {}
     coef = {}

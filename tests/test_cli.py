@@ -420,6 +420,14 @@ class TestExitCodes:
                          "--nu", "[4,4]", "--degree-budget", "16")
         assert code == 0
 
+    def test_mode_past_the_chain_plan_ceiling(self, capsys):
+        # a mode reads one coefficient and never runs the chain's plan
+        code, out, err = run(capsys, "mode", "--pi", "[2]", "--kind", "X",
+                             "--m", "-500", "--state", "s[1]",
+                             "--degree-budget", "1000")
+        assert (code, err) == (0, "")
+        assert out == "|1, s[500,1] - s[499] - s[498,1] + s[497]>\n"
+
     @pytest.mark.parametrize("argv, expected", [
         # the oracle's packed range: exponent 16 in one variable
         (("pi-schur", "--pi", "[1]", "--route", "oracle",
@@ -427,9 +435,12 @@ class TestExitCodes:
         # the vertex route's bound on the string length
         (("pi-schur", "--pi", "[2]", "--route", "vertex",
           "--lambda", "[1,1,1,1,1]"), 2),
-        # the factor-chain plan ceiling
-        (("mode", "--pi", "[2]", "--kind", "X", "--m", "-500",
-          "--state", "s[1]", "--degree-budget", "1000"), 2),
+        # the factor-chain plan ceiling, on the two chains that run the
+        # plan: a vertex string and a reordering side
+        (("pi-schur", "--pi", "[2]", "--route", "vertex",
+          "--lambda", "[500]", "--degree-budget", "1000"), 2),
+        (("verify", "reordering", "--window", "0..1000", "--pi", "[2]",
+          "--test-degree", "1"), 2),
     ])
     def test_library_bounds_are_exit_codes(self, capsys, argv, expected):
         code, _, err = run(capsys, *argv)
@@ -449,7 +460,7 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("line, message", [
-        ("jobs = 0", "jobs must be >= 1"),
+        ("jobs=0", "line 1: unknown key 'jobs'"),
         ("degree-budget = -1", "degree_budget must be >= 0"),
     ])
     def test_bad_config_value_names_config(self, capsys, tmp_path, line,

@@ -48,13 +48,7 @@ class TestDefaults:
     def test_default_values(self):
         cfg = CliConfig()
         assert cfg.degree_budget == 14
-        assert cfg.jobs == 1
         assert cfg.format == "text"
-
-    def test_validate_rejects_bad_jobs(self):
-        cfg = CliConfig(jobs=0)
-        with pytest.raises(ConfigError):
-            cfg.validate()
 
     def test_validate_rejects_negative_budget(self):
         with pytest.raises(ConfigError):
@@ -67,8 +61,8 @@ class TestDefaults:
 
 class TestFileParsing:
     def test_basic(self):
-        cfg = parse_config_text("degree_budget = 9\njobs = 4\n")
-        assert cfg.degree_budget == 9 and cfg.jobs == 4
+        cfg = parse_config_text("degree_budget = 9\nformat = json\n")
+        assert cfg.degree_budget == 9 and cfg.format == "json"
 
     def test_hyphenated_keys_and_comments(self):
         cfg = parse_config_text("# comment\ndegree-budget = 9\n\n"
@@ -78,13 +72,13 @@ class TestFileParsing:
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError) as err:
-            parse_config_text("jobs = 2\nwat = 1\n")
+            parse_config_text("format = json\nwat = 1\n")
         assert "line 2" in str(err.value) and "wat" in str(err.value)
 
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError) as err:
-            parse_config_text("jobs = many\n")
-        assert "jobs" in str(err.value)
+            parse_config_text("degree_budget = many\n")
+        assert "degree_budget" in str(err.value)
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError):
@@ -107,9 +101,9 @@ class TestLoadConfig:
 
     def test_env_fallback(self, tmp_path):
         p = tmp_path / "b.cfg"
-        p.write_text("jobs = 3\n")
+        p.write_text("degree_budget = 3\n")
         cfg = load_config(None, env={ENV_CONFIG: str(p)})
-        assert cfg.jobs == 3
+        assert cfg.degree_budget == 3
 
     def test_missing_env_target_ignored(self):
         cfg = load_config(None, env={ENV_CONFIG: "/nope.cfg"})

@@ -34,6 +34,14 @@ def _negative_terms_dropped(orig):
     return planted
 
 
+def _top_stage_entry_dropped(orig):
+    def planted(pi, dual, lam):
+        stage, period = orig(pi, dual, lam)
+        top = max(stage, default=None)
+        return {e: v for e, v in stage.items() if e != top}, period
+    return planted
+
+
 def _extraction_off_by_one(orig):
     def planted(pi, dual, j, lam):
         return orig(pi, dual, j + 1, lam)
@@ -206,6 +214,9 @@ FAULTS = [
      _negative_terms_dropped, clifford_small),
     ("mode-extraction-off-by-one", vertexops, "_vertex_coefficient",
      _extraction_off_by_one, clifford_small),
+    # the modes' skew factors, run on their own chain
+    ("skew-stage-drops-top", vertexops, "_skew_stage",
+     _top_stage_entry_dropped, clifford_small),
     # mode and anticommutator look the helper up in vertexops
     ("mode-creation-charge-offset", vertexops, "_mode_into",
      _charge_offset(False, 1), clifford_small),

@@ -30,7 +30,7 @@ class TestRunVerification:
     @pytest.mark.parametrize("scale", ["quick", "full"])
     def test_zero_modes_passes(self, capsys, run_verification, scale):
         code = run_verification.main(["--suite", "zero-modes", "--scale",
-                                      scale, "--jobs", "4"])
+                                      scale])
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("suite zero-modes: 32 cases, 0 failures")

@@ -7,12 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symvertex.partitions import partitions_up_to, weight
-from symvertex.plethysm import series_term
+from symvertex.plethysm import dual_pi_schur, pi_schur, series_term
 from symvertex.schurring import SymFunc
 from symvertex.verifier import (DEFAULT_CLIFFORD_PIS, REORDERING_CASES,
                                 _reordering_sides)
-from symvertex.vertexops import (ChargedState, FactorChain, LaurentMap,
-                                 NormalProduct, ZeroModeNormalForm,
+from symvertex.vertexops import (DEFAULT_STRING_BOUND, ChargedState,
+                                 FactorChain, LaurentMap, NormalProduct,
+                                 ZeroModeNormalForm,
                                  _mode_memo, _self_bound, _stage_memo,
                                  _straighten, _termination_plan,
                                  _vertex_coefficient,
@@ -165,7 +166,8 @@ class TestApplyChain:
 
     def test_chains_refuse_charged_states(self):
         with pytest.raises(TypeError, match="state must be a SymFunc"):
-            apply_chain(build_vertex((2,)), ChargedState.vacuum(0, ONE), 2)
+            apply_chain(build_vertex((2,)), ChargedState.vacuum(0, ONE),
+                        (-2, 2))
 
     @given(st.sampled_from(partitions_up_to(4)))
     def test_classical_pair_annihilates_positive_modes(self, lam):
@@ -183,6 +185,9 @@ class TestModes:
     def test_negative_mode_creates_row(self):
         got = mode((), "X", -2, ChargedState.vacuum(0, ONE))
         assert got == ChargedState({1: S((2,))})
+        # modes never run the chain, so its plan's ceiling does not bound m
+        got = mode((), "X", -500, ChargedState.vacuum(0, ONE))
+        assert got == ChargedState({1: S((500,))})
 
     def test_positive_mode_kills_vacuum(self):
         got = mode((), "X", 1, ChargedState.vacuum(0, ONE))
@@ -460,8 +465,8 @@ class TestPlainDictReferences:
         chains.append(string_chain((2,), (False, True)))
         for chain in chains:
             for f in FRACTION_STATE.sectors.values():
-                got = apply_chain(chain, f, 3)
-                assert got == ref_apply_chain(chain, f, 3), chain
+                got = apply_chain(chain, f, (-3, 3))
+                assert got == ref_apply_chain(chain, f, (-3, 3)), chain
                 assert got and exact_values(got)
 
     def test_anticommutator_on_small_clifford_range(self):
@@ -504,8 +509,13 @@ class TestVertexString:
         assert vertex_string((2,), (1, 1), dual=True) == S((2,)) - ONE
 
     def test_vertex_budget(self):
-        with pytest.raises(ValueError):
-            vertex_string((2,), (1, 1, 1, 1, 1))
+        # DEFAULT_STRING_BOUND vertices run; one more is refused
+        lam = (1,) * DEFAULT_STRING_BOUND
+        for pi in ((1,), (2,)):
+            assert vertex_string(pi, lam) == pi_schur(pi, lam)
+            assert vertex_string(pi, lam, dual=True) == dual_pi_schur(pi, lam)
+            with pytest.raises(ValueError, match="exceeds the bound"):
+                vertex_string(pi, lam + (1,))
 
 
 class TestZeroModes:
@@ -597,35 +607,27 @@ class TestPrefactorFactors:
                     assert got
 
     def test_power_two_prefactor(self):
-        vs = ("z", "w")
-        chain = normal_ordered_string((2,), (False, False), vs).chain
+        npd0 = normal_ordered_string((2,), (False, False))
         for prefactors in ([((-1, 1), 2)], [((-1, 1), 2), ((1, 0), 1)],
                            [((0, 1), 2), ((-1, 1), 1)]):
-            npd = NormalProduct(vs, prefactors, chain)
+            npd = NormalProduct(npd0.vars, prefactors, npd0.chain)
             for f in (ONE, S((1,)), S((2, 1))):
-                for win in ((-2, 2), {"z": (-1, 3), "w": (0, 2)}):
+                for win in ((-2, 2), {"z1": (-1, 3), "z2": (0, 2)}):
                     assert npd.apply(f, win) == ref_normal_apply(npd, f, win), \
                         (prefactors, f, win)
 
 
 class TestNormalOrdering:
-    def test_like_kinds_route_through_string_form(self):
-        # named variables only relabel the default z1, z2
-        npd = normal_ordered_string((2, 1), (False, False), ("z", "w"))
-        direct = normal_ordered_string((2, 1), (False, False))
-        assert tuple(npd.prefactors) == tuple(direct.prefactors)
-        assert chain_summary(npd.chain) == chain_summary(direct.chain)
-        assert repr(npd.chain.factors[0]) == "Factor(M(z))"
-
     def test_like_kind_prefactor(self):
-        npd = normal_ordered_string((2,), (False, False), ("z", "w"))
+        npd = normal_ordered_string((2,), (False, False))
         assert tuple(npd.prefactors) == (((-1, 1), 1),)
+        assert repr(npd.chain.factors[0]) == "Factor(M(z1))"
 
     def test_mixed_pair_has_symbolic_inverse(self):
-        npd = normal_ordered_string((2,), (False, True), ("z", "w"))
+        npd = normal_ordered_string((2,), (False, True))
         assert tuple(npd.prefactors) == (((-1, 1), -1),)
         with pytest.raises(ValueError):
-            npd.apply(ONE, {"z": (-1, 1), "w": (-1, 1)})
+            npd.apply(ONE, {"z1": (-1, 1), "z2": (-1, 1)})
 
     def test_mixed_kinds_beyond_a_pair_refused(self):
         with pytest.raises(ValueError):
@@ -644,14 +646,14 @@ class TestNormalOrdering:
     def test_mixed_pair_cross_multiplied(self):
         for pi, duals in (((2,), (False, True)), ((2,), (True, False)),
                           ((2, 1), (False, True))):
-            vs = ("z", "w")
-            win = normalize_window({"z": (-2, 2), "w": (-2, 2)}, vs)
+            vs = ("z1", "z2")
+            win = normalize_window({"z1": (-2, 2), "z2": (-2, 2)}, vs)
             f = S((1,))
-            chain = string_chain(pi, duals, vs)
+            chain = string_chain(pi, duals)
             chain.factors.insert(0, make_factor("multiply", "L", ONE,
                                                 (-1, 1), vs))
             lhs = apply_chain(chain, f, win)
-            npd = normal_ordered_string(pi, duals, vs)
+            npd = normal_ordered_string(pi, duals)
             rhs = apply_chain(npd.chain, f, win)
             assert lhs == rhs, (pi, duals)
 
@@ -659,7 +661,6 @@ class TestNormalOrdering:
 class TestLaurentAndStates:
     def test_normalize_window_forms(self):
         vs = ("z", "w")
-        assert normalize_window(2, vs) == {"z": (-2, 2), "w": (-2, 2)}
         assert normalize_window((0, 3), vs) == {"z": (0, 3), "w": (0, 3)}
         assert normalize_window({"z": (1, 2), "w": (-1, 0)}, vs) == \
             {"z": (1, 2), "w": (-1, 0)}
@@ -686,7 +687,7 @@ class TestLaurentAndStates:
         zero = ChargedState({0: {(1,): 0}})
         assert not zero and zero.sectors == {}
         with pytest.raises(TypeError):
-            ChargedState.vacuum(0) + ONE
+            ChargedState.vacuum(0, ONE) + ONE
 
     @given(STATES, STATES, st.sampled_from([0, 2, -1, Fraction(1, 2)]),
            st.integers(-2, 2))
