@@ -12,8 +12,7 @@ from .schurring import PowerExpr, SymFunc, format_symfunc
 from .plethysm import (cauchy_dual_pi_schur, cauchy_pi_schur, dual_pi_schur,
                        pi_branch, pi_schur, pi_unbranch, plethysm,
                        series_term)
-from .vertexops import (ChargedState, LaurentMap, anticommutator,
-                        apply_chain, build_vertex, mode,
+from .vertexops import (ChargedState, anticommutator, apply_chain, mode,
                         normal_ordered_string, string_chain, vertex_string,
                         zero_mode_normal_form)
 from .oracle import (decompose, oracle_dual_pi_schur, oracle_pi_schur,
@@ -35,8 +34,7 @@ __all__ = [
     "plethysm", "series_term",
     "pi_schur", "dual_pi_schur", "cauchy_pi_schur", "cauchy_dual_pi_schur",
     "pi_branch", "pi_unbranch",
-    "ChargedState", "LaurentMap", "apply_chain", "build_vertex",
-    "string_chain", "vertex_string", "mode",
+    "ChargedState", "apply_chain", "string_chain", "vertex_string", "mode",
     "anticommutator", "normal_ordered_string", "zero_mode_normal_form",
     "schur_poly", "decompose", "oracle_product", "oracle_plethysm",
     "oracle_pi_schur", "oracle_dual_pi_schur",

@@ -235,7 +235,7 @@ def _parse_state(text):
     if isinstance(obj, dict):
         return state_from_obj(obj)
     f = parse_symfunc(text)
-    return ChargedState.vacuum(0, f)
+    return ChargedState({0: f})
 
 
 def _run_mode(args, config):

@@ -74,8 +74,8 @@ def symfunc_from_obj(obj):
 # #### ChargedState ####
 
 def state_to_obj(state):
-    return {"sectors": [{"charge": c, "value": symfunc_to_obj(state.sectors[c])}
-                        for c in sorted(state.sectors)]}
+    return {"sectors": [{"charge": c, "value": symfunc_to_obj(state.c[c])}
+                        for c in sorted(state.c)]}
 
 
 def state_from_obj(obj):
@@ -88,12 +88,13 @@ def state_from_obj(obj):
     return ChargedState(sectors)
 
 
-# #### LaurentMap ####
+# #### chain results ####
 
-def laurent_to_obj(lmap):
-    return {"vars": list(lmap.vars),
+def laurent_to_obj(varnames, coeffs):
+    """A chain result {exponent tuple: SymFunc} in the variables varnames."""
+    return {"vars": list(varnames),
             "coeffs": [{"exp": list(e), "value": symfunc_to_obj(v)}
-                       for e, v in sorted(lmap.data.items())]}
+                       for e, v in sorted(coeffs.items())]}
 
 
 # #### text shorthand ####

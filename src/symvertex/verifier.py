@@ -22,7 +22,7 @@ from .plethysm import (cauchy_dual_pi_schur, cauchy_pi_schur, dual_pi_schur,
                        pi_branch, pi_schur, pi_unbranch, power_substitute,
                        series_term)
 from .schurring import SymFunc, _norm_coeff, to_power
-from .vertexops import (ChargedState, FactorChain, LaurentMap, NormalProduct,
+from .vertexops import (ChargedState, FactorChain, NormalProduct,
                         annihilation_zero_word, anticommutator, apply_chain,
                         creation_zero_word, make_factor,
                         normal_ordered_string, string_chain, vertex_string,
@@ -72,16 +72,11 @@ def _execute(suite, config_obj, keys, case_fn):
 
 
 def _laurent_diff(a, b):
-    """Restrict two LaurentMaps to the exponents where they disagree."""
-    da, db = LaurentMap(a.vars), LaurentMap(b.vars)
-    for e in sorted(set(a.data) | set(b.data)):
-        va, vb = a.data.get(e), b.data.get(e)
-        if va != vb:
-            if va is not None:
-                da.data[e] = va
-            if vb is not None:
-                db.data[e] = vb
-    return da, db
+    """Restrict two chain results {exps: SymFunc} to the exponents where
+    they disagree."""
+    keys = [e for e in set(a) | set(b) if a.get(e) != b.get(e)]
+    return ({e: a[e] for e in keys if e in a},
+            {e: b[e] for e in keys if e in b})
 
 
 # the shapes of weight 1 to 4: the default of reordering, theorem2 and
@@ -152,7 +147,8 @@ def verify_reordering(cases=REORDERING_CASES, pis=DEFAULT_PIS, window=(0, 4),
         return {"inputs": {"case": case, "pi": format_partition(pi),
                            "lambda": format_partition(lam),
                            "window": list(window)},
-                "lhs": laurent_to_obj(dl), "rhs": laurent_to_obj(dr)}
+                "lhs": laurent_to_obj(lhs_chain.vars, dl),
+                "rhs": laurent_to_obj(lhs_chain.vars, dr)}
 
     cfg = {"cases": list(cases), "pis": [format_partition(p) for p in pis],
            "window": list(window), "test_degree": test_degree,
@@ -274,7 +270,7 @@ def verify_clifford(pis=DEFAULT_CLIFFORD_PIS, mode_range=(-3, 3),
                     for lam in lams:
                         for c in charges:
                             keys.append((pi, rel, m, n, lam, c))
-    states = {(lam, c): ChargedState.vacuum(c, SymFunc.schur(lam))
+    states = {(lam, c): ChargedState({c: SymFunc.schur(lam)})
               for lam in lams for c in charges}
     zero = ChargedState()
     # the deliberate mutation reads the extraction index off the shifted
@@ -308,6 +304,10 @@ def verify_multivertex(pis=((2,), (2, 1)), ms=(2, 3), duals=(False, True),
     normal-ordered form, coefficientwise on a window, applied to the
     states 1 and s[1]."""
     pis = [partition(p) for p in pis]
+    # built before any case runs, so a string past the bound is refused
+    # at once
+    chains = {(pi, m, dual): string_chain(pi, (dual,) * m)
+              for pi in pis for m in ms for dual in duals}
     inputs = (("1", SymFunc.one()), ("s[1]", SymFunc.schur((1,))))
     keys = [(pi, m, dual, label)
             for pi in pis for m in ms for dual in duals
@@ -317,8 +317,9 @@ def verify_multivertex(pis=((2,), (2, 1)), ms=(2, 3), duals=(False, True),
     def case_fn(key):
         pi, m, dual, label = key
         f = by_label[label]
-        win = {"z%d" % (i + 1): tuple(window) for i in range(m)}
-        lhs = apply_chain(string_chain(pi, (dual,) * m), f, win)
+        chain = chains[pi, m, dual]
+        win = {v: tuple(window) for v in chain.vars}
+        lhs = apply_chain(chain, f, win)
         np = normal_ordered_string(pi, (dual,) * m)
         if perturb:
             # deliberately drop the first scalar prefactor
@@ -329,7 +330,8 @@ def verify_multivertex(pis=((2,), (2, 1)), ms=(2, 3), duals=(False, True),
         dl, dr = _laurent_diff(lhs, rhs)
         return {"inputs": {"pi": format_partition(pi), "m": m, "dual": dual,
                            "state": label, "window": list(window)},
-                "lhs": laurent_to_obj(dl), "rhs": laurent_to_obj(dr)}
+                "lhs": laurent_to_obj(chain.vars, dl),
+                "rhs": laurent_to_obj(chain.vars, dr)}
 
     cfg = {"pis": [format_partition(p) for p in pis], "ms": list(ms),
            "duals": list(duals), "inputs": [label for label, _ in inputs],

@@ -7,9 +7,9 @@ tracking the grade: e.g. the basic creation family
     V_pi(z)  = M(z) . Madj/Ladj factors in powers of z
 
 is a FactorChain whose factors carry shapes (SymFunc values) and integer
-exponent vectors.  Chains act on SymFunc values and return a LaurentMap:
-finitely many exponent vectors inside a requested window, each with an
-exact value.  Termination over mixed-sign exponents comes from a small
+exponent vectors.  Chains act on SymFunc values and return a dict: finitely
+many exponent vectors inside a requested window, each with an exact
+SymFunc value.  Termination over mixed-sign exponents comes from a small
 fixpoint plan bounding how far any factor can still move an exponent back
 into the window.  Modes, not chains, act on charged states.
 
@@ -58,15 +58,6 @@ class ChargedState(_LinComb):
     _coerce = staticmethod(lambda f: f if isinstance(f, SymFunc)
                            else SymFunc(f))
 
-    @property
-    def sectors(self):
-        """The {charge: SymFunc} map (read-only alias of c)."""
-        return self.c
-
-    @classmethod
-    def vacuum(cls, charge, value):
-        return cls({charge: value})
-
     def degree(self):
         return max((f.degree() for f in self.c.values()), default=0)
 
@@ -79,14 +70,11 @@ class ChargedState(_LinComb):
         return " + ".join(bits) if bits else "0"
 
 
-# #### Laurent coefficient maps and windows ####
+# #### windows ####
 
 def normalize_window(window, varnames):
-    """Accept {var: (lo, hi)} or a single (lo, hi) for every variable;
-    return {var: (lo, hi)} (inclusive ends)."""
-    if isinstance(window, tuple) and len(window) == 2 and all(
-            isinstance(x, int) for x in window):
-        window = {v: window for v in varnames}
+    """Check a window {var: (lo, hi)} (inclusive ends) against the chain's
+    variables; return it with int ends, in variable order."""
     out = {}
     for v in varnames:
         if v not in window:
@@ -96,39 +84,6 @@ def normalize_window(window, varnames):
             raise ValueError("empty window for %r" % v)
         out[v] = (int(lo), int(hi))
     return out
-
-
-class LaurentMap:
-    """Finitely many exponent vectors with exact SymFunc values, tagged
-    with the variable names."""
-
-    __slots__ = ("vars", "data")
-
-    def __init__(self, varnames):
-        self.vars = tuple(varnames)
-        self.data = {}
-
-    def get(self, exps):
-        return self.data.get(tuple(exps))
-
-    def items(self):
-        return sorted(self.data.items())
-
-    def __bool__(self):
-        return bool(self.data)
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentMap):
-            return self.vars == other.vars and self.data == other.data
-        return NotImplemented
-
-    def __repr__(self):
-        bits = []
-        for e, v in self.items():
-            mono = "*".join("%s^%d" % (self.vars[i], e[i])
-                            for i in range(len(self.vars)))
-            bits.append("%s: %r" % (mono or "1", v))
-        return "LaurentMap{%s}" % ", ".join(bits)
 
 
 # #### factor chains ####
@@ -288,7 +243,7 @@ def _termination_plan(chain, state_degree, window):
 def apply_chain(chain, state, window):
     """Apply a factor chain to a SymFunc and collect the exact coefficient
     of every monomial inside the window (inclusive on both ends).  Returns
-    a LaurentMap.
+    {exponent tuple: SymFunc}.
 
     The factors run on plain {exps: {lam: coeff}} dicts, and each value is
     wrapped once at the end."""
@@ -296,9 +251,8 @@ def apply_chain(chain, state, window):
     nv = len(chain.vars)
     if not isinstance(state, SymFunc):
         raise TypeError("state must be a SymFunc")
-    out = LaurentMap(chain.vars)
     if not state:
-        return out
+        return {}
     rb, down, up = _termination_plan(chain, state.degree(), w)
     lo = [w[v][0] for v in chain.vars]
     hi = [w[v][1] for v in chain.vars]
@@ -346,9 +300,8 @@ def apply_chain(chain, state, window):
                 cur[e] = d
         if not cur:
             break
-    out.data = {e: SymFunc._new(d) for e, d in cur.items()
-                if all(a <= x <= b for a, x, b in zip(lo, e, hi))}
-    return out
+    return {e: SymFunc._new(d) for e, d in cur.items()
+            if all(a <= x <= b for a, x, b in zip(lo, e, hi))}
 
 
 # #### vertex operators and their products ####
@@ -394,55 +347,38 @@ def _vertex_factors(pi, duals, varnames):
     return factors
 
 
-def string_chain(pi, duals, varnames=None):
+DEFAULT_STRING_BOUND = 4
+
+
+def string_chain(pi, duals):
     """The literal left-to-right product of vertex operators of shape pi,
-    one per variable (annihilation where duals[i] is true; variables
-    z1..zm by default), as a single chain."""
+    one per variable z1..zm (annihilation where duals[i] is true), as a
+    single chain.  Strings longer than DEFAULT_STRING_BOUND are refused."""
     m = len(duals)
-    if varnames is None:
-        varnames = tuple("z%d" % (i + 1) for i in range(m))
+    if m > DEFAULT_STRING_BOUND:
+        raise ValueError("string of %d vertices exceeds the bound %d"
+                         % (m, DEFAULT_STRING_BOUND))
+    varnames = tuple("z%d" % (i + 1) for i in range(m))
     factors = []
     for i, d in enumerate(duals):
         factors += _vertex_factors(
             pi, tuple(d if v == i else None for v in range(m)), varnames)
-    return FactorChain(tuple(varnames), factors)
-
-
-def build_vertex(pi, dual=False):
-    """Creation vertex operator of shape pi in the variable z: multiplication
-    by the row series in z, the adjoint column series in 1/z, and one
-    adjoint column series of the k-row skew of pi in z^k for each k up to
-    the first row of pi.
-
-    With dual=True, the annihilation operator: multiplication by the
-    column series in z, the adjoint row series in 1/z, and for each column
-    depth k up to the length of pi an adjoint series of the k-column skew
-    of pi in z^k -- row series for odd k, column series for even k."""
-    return string_chain(pi, (dual,), ("z",))
-
-
-DEFAULT_STRING_BOUND = 4
+    return FactorChain(varnames, factors)
 
 
 def vertex_string(pi, lam, dual=False):
     """Coefficient route to the deformed Schur functions: apply one vertex
     operator per part of lam to the constant 1 and read off the monomial
     z1^lam1 ... zm^lamm.  With dual=True uses annihilation operators and
-    yields the companion family.  Strings longer than DEFAULT_STRING_BOUND
-    are refused."""
+    yields the companion family."""
     pi = partition(pi)
     lam = partition(lam)
     m = len(lam)
     if m == 0:
         return SymFunc.one()
-    if m > DEFAULT_STRING_BOUND:
-        raise ValueError("string of %d vertices exceeds the bound %d"
-                         % (m, DEFAULT_STRING_BOUND))
     chain = string_chain(pi, (dual,) * m)
     window = {chain.vars[i]: (lam[i], lam[i]) for i in range(m)}
-    res = apply_chain(chain, SymFunc.one(), window)
-    val = res.get(lam)
-    return val if val is not None else SymFunc.zero()
+    return apply_chain(chain, SymFunc.one(), window).get(lam, SymFunc.zero())
 
 
 # #### modes and anticommutators ####
@@ -469,13 +405,13 @@ def _straighten(n, mu):
 
 
 def _skew_stage(pi, dual, lam):
-    """The factors of build_vertex(pi, dual) after its first two, applied
-    to s_lam, as ({e: {mu: coeff}}, period) over the z^e coefficients;
-    memoized.  For the dual kind every mu is conjugated, as it is
-    straightened in that form.  The row series on 1, for a dual odd column
-    of height k, is sum_r z^(kr) times the identity, infinite in e: it is
-    left to the caller as period k.  Every other factor is bounded by
-    degree or by a finite series, so the window never cuts them."""
+    """The factors of the (pi, dual) vertex operator after its first two,
+    applied to s_lam, as ({e: {mu: coeff}}, period) over the z^e
+    coefficients; memoized.  For the dual kind every mu is conjugated, as
+    it is straightened in that form.  The row series on 1, for a dual odd
+    column of height k, is sum_r z^(kr) times the identity, infinite in e:
+    it is left to the caller as period k.  Every other factor is bounded
+    by degree or by a finite series, so the window never cuts them."""
     key = (pi, dual, lam)
     if key not in _stage_memo:
         factors = _vertex_factors(pi, (dual,), ("z",))[2:]
@@ -484,10 +420,10 @@ def _skew_stage(pi, dual, lam):
         skews = [f for f in factors if f not in ones]
         period = ones[0].exps[0] if ones else 0
         res = apply_chain(FactorChain(("z",), skews), SymFunc.schur(lam),
-                          (0, sys.maxsize))
+                          {"z": (0, sys.maxsize)})
         _stage_memo[key] = {
             e: {(conjugate(mu) if dual else mu): c for mu, c in v.c.items()}
-            for (e,), v in res.data.items()}, period
+            for (e,), v in res.items()}, period
     return _stage_memo[key]
 
 
@@ -659,13 +595,13 @@ class ZeroModeNormalForm:
         return {v: x for v, x in e.items() if x}, c + self.shift
 
 
-def creation_zero_word(var="z"):
+def creation_zero_word(var):
     """Zero-mode part of a creation vertex operator: raise the charge and
     read var^charge (in display order; the word applies right to left)."""
     return [("shift", 1), ("mono", var, 0, 1)]
 
 
-def annihilation_zero_word(var="z"):
+def annihilation_zero_word(var):
     """Zero-mode part of an annihilation vertex operator: lower the charge
     and read var^(1 - charge)."""
     return [("shift", -1), ("mono", var, 1, -1)]

@@ -224,7 +224,7 @@ class TestModeCommand:
         code, out, _ = run(capsys, "mode", "--pi", "[2]", "--kind", "X",
                            "--m", "-2", "--state", "s[1]", "--format", "json")
         assert code == 0
-        state = ChargedState.vacuum(0, SymFunc.schur((1,)))
+        state = ChargedState({0: SymFunc.schur((1,))})
         expected = mode((2,), "X", -2, state)
         assert out.strip() == dumps(state_to_obj(expected))
 
@@ -233,12 +233,12 @@ class TestModeCommand:
                            "--m", "0", "--state", "s[2]", "--charge", "1",
                            "--format", "json")
         assert code == 0
-        state = ChargedState.vacuum(1, SymFunc.schur((2,)))
+        state = ChargedState({1: SymFunc.schur((2,))})
         expected = mode((1,), "Xstar", 0, state)
         assert out.strip() == dumps(state_to_obj(expected))
 
     def test_mode_state_json_dict(self, capsys):
-        state = ChargedState.vacuum(2, SymFunc.schur((1, 1)))
+        state = ChargedState({2: SymFunc.schur((1, 1))})
         code, out, _ = run(capsys, "mode", "--pi", "[]", "--kind", "X",
                            "--m", "-1", "--state",
                            dumps(state_to_obj(state)), "--format", "json")
@@ -441,6 +441,8 @@ class TestExitCodes:
           "--lambda", "[500]", "--degree-budget", "1000"), 2),
         (("verify", "reordering", "--window", "0..1000", "--pi", "[2]",
           "--test-degree", "1"), 2),
+        # the same bound on a multivertex string, refused before any case
+        (("verify", "multivertex", "--m", "5"), 2),
     ])
     def test_library_bounds_are_exit_codes(self, capsys, argv, expected):
         code, _, err = run(capsys, *argv)

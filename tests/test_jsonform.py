@@ -11,7 +11,7 @@ from symvertex.jsonform import (dumps, laurent_to_obj, parse_symfunc,
                                 symfunc_to_obj)
 from symvertex.partitions import partitions_up_to
 from symvertex.schurring import SymFunc
-from symvertex.vertexops import ChargedState, LaurentMap
+from symvertex.vertexops import ChargedState
 
 S = SymFunc.schur
 
@@ -119,10 +119,9 @@ class TestChargedStateJson:
 
 class TestLaurentJson:
     def test_exponents_sorted(self):
-        m = LaurentMap(("z",))
-        m.data[(2,)] = SymFunc.one()
-        m.data[(-1,)] = SymFunc.one()
-        exps = [tuple(rec["exp"]) for rec in laurent_to_obj(m)["coeffs"]]
+        m = {(2,): SymFunc.one(), (-1,): SymFunc.one()}
+        exps = [tuple(rec["exp"])
+                for rec in laurent_to_obj(("z",), m)["coeffs"]]
         assert exps == [(-1,), (2,)]
 
 

@@ -6,6 +6,7 @@ before the plant can hide it, and requires a small suite run to report
 failures.
 """
 
+import inspect
 import json
 import sys
 
@@ -171,6 +172,18 @@ def _multiplicities_lowered(orig):
     return planted
 
 
+def _lattice_cap_tightened(orig):
+    # the lattice cap one smaller, clamped at 0 so every shape stays valid;
+    # planted in the source, as the cap is a local of the kernel
+    old = "before[j - 1] - content[j]"
+    src = inspect.getsource(orig)
+    assert src.count(old) == 1
+    namespace = dict(vars(schurring))
+    exec(src.replace(old, "max(before[j - 1] - content[j] - 1, 0)"),
+         namespace)
+    return namespace[orig.__name__]
+
+
 def clifford_small():
     return verify_clifford(degree_bound=3, mode_range=(-2, 2))
 
@@ -267,6 +280,10 @@ FAULTS = [
      _last_key_dropped, clifford_small),
     ("lr-tableaux-multiplicities-lowered", schurring, "_lr_tableaux",
      _multiplicities_lowered, lr_multiplicities_small),
+    # of the small runs, clifford_small (11 of 6,930 cases) and
+    # lr_multiplicities_small see the tighter cap; the others pass
+    ("lr-tableaux-lattice-cap-tightened", schurring, "_lr_tableaux",
+     _lattice_cap_tightened, clifford_small),
 ]
 
 

@@ -53,3 +53,11 @@ def test_import_loads_no_cli_argparse_or_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+def test_package_stays_under_the_line_ceiling():
+    # ROADMAP's convention: src/ stays at most 3,370 lines, so a change that
+    # adds lines deletes others
+    pkg = Path(symvertex.__file__).resolve().parent
+    lines = sum(len(p.read_text().splitlines()) for p in pkg.glob("*.py"))
+    assert lines <= 3370

@@ -123,8 +123,8 @@ class TestFailureReplay:
         np = NormalProduct(np.vars, np.prefactors[1:], np.chain)
         rhs = np.apply(f, win)
         dl, dr = _laurent_diff(lhs, rhs)
-        assert laurent_to_obj(dl) == rec["lhs"]
-        assert laurent_to_obj(dr) == rec["rhs"]
+        assert laurent_to_obj(np.vars, dl) == rec["lhs"]
+        assert laurent_to_obj(np.vars, dr) == rec["rhs"]
 
     def test_reordering_failure_replays(self):
         rep = verify_reordering(perturb=True, **SMALL["reordering"])
@@ -140,8 +140,8 @@ class TestFailureReplay:
         rhs = apply_chain(rhs_chain, f, win)
         assert lhs != rhs
         dl, dr = _laurent_diff(lhs, rhs)
-        assert laurent_to_obj(dl) == rec["lhs"]
-        assert laurent_to_obj(dr) == rec["rhs"]
+        assert laurent_to_obj(lhs_chain.vars, dl) == rec["lhs"]
+        assert laurent_to_obj(lhs_chain.vars, dr) == rec["rhs"]
 
 
 class TestSuiteSpecifics:
