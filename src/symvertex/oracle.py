@@ -16,25 +16,23 @@ Each entry point states its width and why it suffices.
 
 Schur polynomials and plethysms come from one tableau sum, a
 one-letter-at-a-time horizontal-strip dynamic program over semistandard
-tableaux, and decomposition back into Schur terms peels the
-lexicographically greatest monomial.  The deformed Schur functions are read
-off literally from the product of a two-alphabet Cauchy kernel and the
-series of a shape, each a truncated product built by one routine.  None of
-the character/power-sum machinery of schurring is used here; only the
-partitions module is shared.
+tableaux.  Decomposition reads only the dominant monomials (weakly
+decreasing exponents) and peels them by Kostka numbers counted with the
+same strips.  Every full polynomial is checked to be exactly symmetric; the
+plethysm sum, pruned to dominant monomials, is checked by its dimension.
+The deformed Schur functions are read off literally from the product of a
+two-alphabet Cauchy kernel and the series of a shape, each a truncated
+product built by one routine.  None of the character/power-sum machinery
+of schurring is used here; only the partitions module is shared.
 """
 
 import math
 
 from .partitions import (conjugate, format_partition, partition,
-                          subpartitions, weight)
+                          partitions_of, subpartitions, weight)
 from .schurring import SymFunc
 
 _MAXVARS = 15
-
-
-def _unpack(key, nvars):
-    return tuple((key >> (4 * (nvars - 1 - i))) & 15 for i in range(nvars))
 
 
 def _degree(key, nvars):
@@ -135,24 +133,34 @@ def _horiz_preds(nu):
 _schur_poly_memo = {}
 
 
-def _tableau_sum(shape, letters):
-    """Sum over the semistandard tableaux of `shape` with entries from the
-    alphabet `letters` (packed monomials in the alphabet's order; a monomial
-    listed m times is m letters) of the product of their entries: one
-    horizontal strip per letter.  Each pass runs in place, visiting states
-    by decreasing weight, so an update reads only smaller states not yet
-    updated in this pass."""
+def _tableau_sum(shape, groups, pruned):
+    """Sum over the semistandard tableaux of `shape` with entries from an
+    alphabet of packed monomials (a monomial listed m times is m letters)
+    of the product of their entries: one horizontal strip per letter.
+    groups[k] holds the letters whose highest variable is k, run highest
+    first.  Each pass runs in place, visiting states by decreasing weight,
+    so an update reads only smaller states not yet updated in this pass.
+    When `pruned`, a monomial whose exponent in k is below that in k+1 is
+    dropped after the group of k: no later letter touches either variable,
+    so it cannot end dominant."""
+    n = len(groups)
     subs = subpartitions(shape)
     states = {nu: {} for nu in subs}
     states[()] = {0: 1}
     order = [nu for nu in sorted(subs, key=weight, reverse=True) if nu]
-    for letter in letters:
-        for nu in order:
-            tgt = states[nu]
-            for nup, k in _horiz_preds(nu):
-                src = states[nup]
-                if src:
-                    poly_add_scaled(tgt, src, 1, k * letter)
+    for k in range(n - 1, -1, -1):
+        for letter in groups[k]:
+            for nu in order:
+                tgt = states[nu]
+                for nup, size in _horiz_preds(nu):
+                    src = states[nup]
+                    if src:
+                        poly_add_scaled(tgt, src, 1, size * letter)
+        if pruned and k < n - 1:
+            s = 4 * (n - 2 - k)  # the nibble of variable k+1
+            for nu in order:
+                states[nu] = {key: v for key, v in states[nu].items()
+                              if key >> s + 4 & 15 >= key >> s & 15}
     return states[shape]
 
 
@@ -167,51 +175,84 @@ def schur_poly(lam, nvars):
     found = _schur_poly_memo.get(key)
     if found is None:
         found = _schur_poly_memo[key] = _tableau_sum(
-            lam, [1 << (4 * (nvars - 1 - j)) for j in range(nvars)])
+            lam, [[1 << 4 * (nvars - 1 - k)] for k in range(nvars)], False)
     return found
 
 
-def is_symmetric_sampled(poly, nvars):
-    """Spot-check symmetry under a few adjacent variable transpositions."""
-    if nvars < 2 or not poly:
-        return True
-    pairs = {(0, 1), (nvars - 2, nvars - 1), (0, nvars - 1)}
-    for i, j in pairs:
-        si, sj = 4 * (nvars - 1 - i), 4 * (nvars - 1 - j)
-        swapped = {}
-        for k, v in poly.items():
-            a, b = (k >> si) & 15, (k >> sj) & 15
-            nk = k - (a << si) - (b << sj) + (a << sj) + (b << si)
-            swapped[nk] = v
-        if swapped != poly:
+_kostka_memo = {}
+
+
+def kostka(kappa, alpha):
+    """The Kostka number K_{kappa alpha}: chains of horizontal strips of
+    sizes alpha_1, alpha_2, ... that fill kappa, counted from the last."""
+    if not alpha:
+        return int(not kappa)
+    found = _kostka_memo.get((kappa, alpha))
+    if found is None:
+        found = _kostka_memo[kappa, alpha] = sum(
+            kostka(nup, alpha[:-1]) for nup, size in _horiz_preds(kappa)
+            if size == alpha[-1])
+    return found
+
+
+def _is_symmetric(poly, n):
+    """Exact test that a packed polynomial is invariant under permuting
+    its low n nibbles: the swap of the two leading ones and the cyclic
+    shift generate S_n, so one pass looks up both images of each key."""
+    top, low = 4 * (n - 1), (1 << 4 * n) - 1
+    for k, v in poly.items() if n > 1 else ():
+        a, b, z = k >> top & 15, k >> top - 4 & 15, k & low
+        if (poly.get(k + ((b - a) << top) + ((a - b) << top - 4)) != v
+                or poly.get(k - z + (z >> 4) + ((z & 15) << top)) != v):
             return False
     return True
 
 
-def decompose(poly, nvars):
-    """Write a symmetric packed polynomial as a Schur combination.
+_peel_memo = {}
 
-    Peels the lexicographically greatest monomial (whose exponents must be
-    weakly decreasing, or the input was not symmetric) until nothing is
-    left.  Symmetry itself is spot-checked by sampled transpositions first.
-    A peel that leaves its own leading monomial raises ValueError rather
-    than loop forever.
-    """
-    poly = dict(poly)
-    if not is_symmetric_sampled(poly, nvars):
+
+def _peel(d, n):
+    """The Kostka peel at degree d in n variables on symbolic coefficients:
+    {kappa: row}, the coefficient of s_kappa in a symmetric p being the sum
+    of row[key] * p[key].  On dominant monomials s_kappa = sum_alpha
+    K_{kappa alpha} m_alpha is unitriangular (Macdonald I.6), so in
+    decreasing lexicographic order the row of alpha is x^alpha less the
+    Kostka multiples of the rows before it."""
+    found = _peel_memo.get((d, n))
+    if found is None:
+        found = {}
+        for alpha in partitions_of(d, max_part=15, max_length=n):
+            row = {sum(a << 4 * (n - 1 - i) for i, a in enumerate(alpha)): 1}
+            for kappa, r in found.items():
+                k = kostka(kappa, alpha)
+                if k:
+                    poly_add_scaled(row, r, -k)
+            found[alpha] = row
+        _peel_memo[d, n] = found
+    return found
+
+
+def _schur_terms(poly, nvars):
+    """The Schur combination whose dominant coefficients are poly's."""
+    return SymFunc({kappa: sum(v * poly.get(key, 0) for key, v in row.items())
+                    for d in {_degree(k, nvars) for k in poly}
+                    for kappa, row in _peel(d, nvars).items()})
+
+
+def decompose(poly, nvars):
+    """Write a packed polynomial, checked to be symmetric (ValueError if
+    not), as a Schur combination."""
+    if not _is_symmetric(poly, nvars):
         raise ValueError("polynomial is not symmetric in its variables")
-    out = {}
-    while poly:
-        top = max(poly)
-        exps = _unpack(top, nvars)
-        lead = partition(exps)  # raises when not weakly decreasing
-        c = poly[top]
-        out[lead] = c
-        poly_add_scaled(poly, schur_poly(lead, nvars), -c)
-        if top in poly:
-            raise ValueError("peeling s_%s left its leading monomial"
-                             % format_partition(lead))
-    return SymFunc(out)
+    return _schur_terms(poly, nvars)
+
+
+def _dim(lam, n):
+    """s_lam(1^n) by the hook-content formula (Macdonald I.3 Ex. 4)."""
+    cols, cells = conjugate(lam), [(i, j) for i, r in enumerate(lam)
+                                   for j in range(r)]
+    return (math.prod(n + j - i for i, j in cells)
+            // math.prod(lam[i] - j + cols[j] - i - 1 for i, j in cells))
 
 
 # #### cross-check entry points ####
@@ -245,9 +286,10 @@ def oracle_product(mu, nu):
 
 
 def oracle_plethysm(mu, nu):
-    """Plethysm mu[nu] by running the tableau dynamic program whose letters
-    are the explicit monomials of the inner Schur polynomial (with
-    multiplicity), then decomposing.
+    """Plethysm mu[nu] by running the tableau dynamic program, pruned to
+    dominant monomials, whose letters are the explicit monomials of the
+    inner Schur polynomial (with multiplicity), then peeling.  The result
+    must have the dimension s_mu(1^N) at N letters (ValueError if not).
 
     Works in |mu|*l(nu) variables: s_mu[s_nu] is a summand of
     h_mu[s_nu] = prod_i h_{mu_i}[s_nu], and h_m[s_nu] is a summand of
@@ -260,10 +302,19 @@ def oracle_plethysm(mu, nu):
                   % (format_partition(mu), format_partition(nu)),
                   n, weight(mu) * max(nu, default=0))
     n = max(n, 1)
-    letters = [key for key, mult in sorted(schur_poly(nu, n).items(),
-                                           reverse=True)
-               for _ in range(mult)]
-    return decompose(_tableau_sum(mu, letters), n)
+    inner = schur_poly(nu, n)
+    groups = [[] for _ in range(n)]
+    for key, mult in inner.items():
+        k = n - 1  # the constant letter (nu = ()) stops at variable 0
+        while k > 0 and not key >> 4 * (n - 1 - k) & 15:
+            k -= 1
+        groups[k] += [key] * mult
+    out = _schur_terms(_tableau_sum(mu, groups, True), n)
+    if sum(c * _dim(kappa, n) for kappa, c in out.c.items()) != \
+            _dim(mu, sum(inner.values())):
+        raise ValueError("plethysm %s[%s] fails its dimension check"
+                         % (format_partition(mu), format_partition(nu)))
+    return out
 
 
 # ---- literal generating kernels for the deformed Schur functions ----
@@ -299,38 +350,26 @@ def _series_factor_layers(base, n, cap, inverted):
     return layers
 
 
-def _extract_schur_z(kernel_layers, zfactor_layers, n_x, n_z, lam):
+def _extract_schur_z(kernel_layers, zfactor_layers, n_z, lam):
     """Coefficient of the Z-side Schur polynomial of lam in the product of
-    two layered two-alphabet polynomials, as an X-side packed polynomial in
-    n_x variables."""
+    two layered two-alphabet polynomials, which must be symmetric in Z
+    (ValueError if not), as an X-side packed polynomial."""
     w = weight(lam)
     zmap = {}
     for za, A in kernel_layers.items():
         B = zfactor_layers.get(w - za)
-        if not B or not A:
-            continue
-        for ka, va in A.items():
+        for ka, va in A.items() if B else ():
             poly_add_scaled(zmap, B, va, ka)
-    # regroup by Z-monomial
-    shift = 4 * n_z
-    zmask = (1 << shift) - 1
-    grouped = {}
+    shift, zmask = 4 * n_z, (1 << 4 * n_z) - 1
+    grouped = {}  # by Z-monomial
     for kk, vv in zmap.items():
         grouped.setdefault(kk & zmask, {})[kk >> shift] = vv
+    if not _is_symmetric(grouped, n_z):
+        raise ValueError("kernel at lambda=%s is not symmetric in Z"
+                         % format_partition(lam))
     target = {}
-    while grouped:
-        ztop = max(grouped)
-        kappa = partition(_unpack(ztop, n_z))
-        xc = grouped.pop(ztop)
-        if kappa == lam:
-            target = xc
-        zschur = schur_poly(kappa, n_z)
-        for zk, mz in zschur.items():
-            if zk == ztop:
-                continue
-            cell = poly_add_scaled(grouped.setdefault(zk, {}), xc, -mz)
-            if not cell:
-                grouped.pop(zk, None)
+    for key, v in _peel(w, n_z).get(lam, {}).items():
+        poly_add_scaled(target, grouped.get(key, {}), v)
     return target
 
 
@@ -361,7 +400,7 @@ def _kernel_coefficient(row, n_x, shape, inverted, lam):
     # a shape heavier than lam contributes only the constant term
     base = schur_poly(shape, n_z) if weight(shape) <= w else {}
     zfac = _series_factor_layers(base, n_z, w, inverted)
-    return decompose(_extract_schur_z(kernel, zfac, n_x, n_z, lam), n_x)
+    return decompose(_extract_schur_z(kernel, zfac, n_z, lam), n_x)
 
 
 def oracle_pi_schur(pi, lam):

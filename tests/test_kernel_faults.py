@@ -172,16 +172,34 @@ def _multiplicities_lowered(orig):
     return planted
 
 
-def _lattice_cap_tightened(orig):
-    # the lattice cap one smaller, clamped at 0 so every shape stays valid;
-    # planted in the source, as the cap is a local of the kernel
-    old = "before[j - 1] - content[j]"
-    src = inspect.getsource(orig)
-    assert src.count(old) == 1
-    namespace = dict(vars(schurring))
-    exec(src.replace(old, "max(before[j - 1] - content[j] - 1, 0)"),
-         namespace)
-    return namespace[orig.__name__]
+def _in_source(module, old, new):
+    # for a fault in a local of the kernel: the function recompiled in its
+    # module's namespace with `old` replaced once by `new`
+    def wrapper(orig):
+        src = inspect.getsource(orig)
+        assert src.count(old) == 1
+        namespace = dict(vars(module))
+        exec(src.replace(old, new), namespace)
+        return namespace[orig.__name__]
+    return wrapper
+
+
+# the lattice cap one smaller, clamped at 0 so every shape stays valid
+_lattice_cap_tightened = _in_source(
+    schurring, "before[j - 1] - content[j]",
+    "max(before[j - 1] - content[j] - 1, 0)")
+
+# the Z side's peel adds every entry of its row, the negative ones too
+_z_peel_signs_dropped = _in_source(
+    oracle, "grouped.get(key, {}), v)", "grouped.get(key, {}), abs(v))")
+
+
+def _off_diagonal_raised(orig):
+    # every nonzero Kostka number off the diagonal one too large
+    def planted(kappa, alpha):
+        k = orig(kappa, alpha)
+        return k + 1 if k and kappa != alpha else k
+    return planted
 
 
 def clifford_small():
@@ -263,10 +281,15 @@ FAULTS = [
     # normal-ordered side only, and constant column skews, on both sides
     ("self-bound-constant-cap-short", vertexops, "_self_bound",
      _cap_one_short, multivertex_small),
-    # decompose detects the broken tableau sum and raises; the suite
-    # records that as failed cases
+    # the tableau sum and the Kostka numbers both read the strips
     ("horiz-preds-drops-last", oracle, "_horiz_preds",
      _last_pred_dropped, route_agreement_small),
+    # the recursion looks itself up in oracle, so every level is planted;
+    # both the Z-side and the X-side peel read it
+    ("kostka-off-diagonal-raised", oracle, "kostka",
+     _off_diagonal_raised, route_agreement_small),
+    ("z-peel-row-signs-dropped", oracle, "_extract_schur_z",
+     _z_peel_signs_dropped, route_agreement_small),
     # string_chain and normal_ordered_string share the builder, so only
     # the normal-ordered side loses its cross factors
     ("cross-factors-dropped", vertexops, "_vertex_factors",
@@ -330,16 +353,36 @@ def test_unplanted_runs_pass(cold_memos):
         assert not run().failures
 
 
+def _least_monomial_dropped(orig):
+    # a Schur polynomial in several variables loses a monomial, so the
+    # series of a shape is no longer symmetric in Z
+    def planted(lam, nvars):
+        poly = orig(lam, nvars)
+        return {k: v for k, v in poly.items() if k != min(poly)} \
+            if len(poly) > 1 else poly
+    return planted
+
+
 def test_oracle_fault_is_a_failed_check(cold_memos, monkeypatch, capsys):
-    # a ValueError raised inside the oracle route fails its cases (exit
-    # 1); one raised by another route is still a bad request (exit 2)
+    # a fault in the oracle fails cases (exit 1); a ValueError raised by
+    # another route is still a bad request (exit 2)
     monkeypatch.setattr(oracle, "_horiz_preds",
                         _last_pred_dropped(oracle._horiz_preds))
     argv = ["verify", "theorem2", "--timing", "none", "--format", "json"]
     assert main(argv + ["--max-weight", "3"]) == 1
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["failures"]
-    assert all(set(rec["rhs"]) == {"error"} for rec in rep["failures"])
+    assert json.loads(capsys.readouterr().out)["failures"]
     assert main(argv + ["--pi", "[]", "--max-weight", "3"]) == 2
     assert main(argv + ["--pi", "[1]", "--max-weight", "5",
                         "--max-length", "5"]) == 2
+    # a ValueError raised inside the oracle route, here by its symmetry
+    # check, fails each case it reaches with the error as the value
+    monkeypatch.undo()
+    _clear_memos()
+    monkeypatch.setattr(oracle, "schur_poly",
+                        _least_monomial_dropped(oracle.schur_poly))
+    assert main(argv + ["--max-weight", "3"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["failures"]
+    assert all(rec["rhs"] == {"error": "kernel at lambda=%s is not "
+                              "symmetric in Z" % rec["inputs"]["lambda"]}
+               for rec in rep["failures"])

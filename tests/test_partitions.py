@@ -116,6 +116,34 @@ class TestEnumeration:
         assert partitions_of(4, max_length=-1) == []
         assert partitions_up_to(6, max_length=-1) == []
 
+    # the edges below are what the oracle's Kostka peel relies on when it
+    # walks the dominant monomials of each degree
+
+    def test_negative_weight_admits_nothing(self):
+        assert partitions_of(-1) == []
+        assert partitions_of(-2, max_length=3) == []
+
+    def test_length_cap_holds(self):
+        for n in range(9):
+            every = partitions_of(n)
+            for cap in range(n + 2):
+                assert partitions_of(n, max_length=cap) == [
+                    p for p in every if len(p) <= cap]
+
+    def test_up_to_reaches_its_weight(self):
+        for w in range(7):
+            got = partitions_up_to(w)
+            assert got[-1] == (1,) * w
+            assert max(weight(p) for p in got) == w
+            assert len(got) == sum(len(partitions_of(n))
+                                   for n in range(w + 1))
+
+    def test_strictly_decreasing_lex(self):
+        for n in range(10):
+            for cap in (None, 2, 3):
+                got = partitions_of(n, max_length=cap)
+                assert all(a > b for a, b in zip(got, got[1:]))
+
 
 class TestShapeScans:
     def test_subpartitions(self):
