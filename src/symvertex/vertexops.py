@@ -30,8 +30,13 @@ exactly, since B_n s_mu = 0 for n < -len(mu).
 
 Inner loops accumulate into plain {key: coeff} dicts -- {exps: {lam:
 coeff}} in apply_chain, {charge: {nu: coeff}} in modes and anticommutators
--- calling the Schur pair kernels directly, and wrap a SymFunc or
-ChargedState once per result at the public boundary.
+-- and wrap a SymFunc or ChargedState once per result at the public
+boundary.  In apply_chain each series term acts on a Schur function s_k
+through _term_action, memoized on (action, family, shape key, r, k), so a
+state key costs one lookup and one merge; the termination plan and the
+per-stage boxes are memoized on the factors' data (never the Factor
+objects), the state degree and the window, so a chain mutated after a call
+is planned afresh.
 """
 
 import sys
@@ -40,7 +45,7 @@ from itertools import product
 from types import MappingProxyType
 
 from .partitions import conjugate, partition, weight
-from .plethysm import series_term
+from .plethysm import _shape_key, series_term
 from .schurring import (SymFunc, _LinComb, format_symfunc, product_schur_pair,
                          skew_schur_pair)
 
@@ -73,16 +78,19 @@ class ChargedState(_LinComb):
 # #### windows ####
 
 def normalize_window(window, varnames):
-    """Check a window {var: (lo, hi)} (inclusive ends) against the chain's
-    variables; return it with int ends, in variable order."""
+    """Check a window {var: (lo, hi)} (inclusive int ends) against the
+    chain's variables; return it in variable order."""
     out = {}
     for v in varnames:
         if v not in window:
             raise ValueError("window is missing variable %r" % v)
         lo, hi = window[v]
+        if any(isinstance(x, bool) or not isinstance(x, int)
+               for x in (lo, hi)):
+            raise ValueError("window ends for %r must be integers" % v)
         if lo > hi:
             raise ValueError("empty window for %r" % v)
-        out[v] = (int(lo), int(hi))
+        out[v] = (lo, hi)
     return out
 
 
@@ -240,6 +248,27 @@ def _termination_plan(chain, state_degree, window):
     return (rb,) + reach()
 
 
+_action_memo = {}  # (action, family, shape key, r, k) -> ((nu, coeff), ...)
+_plan_memo = {}  # (factor keys, state degree, window) -> stages
+
+
+def _term_action(action, family, shape, skey, r, k):
+    """The degree-r term of the family's series of shape (skey its
+    _shape_key) acting on s_k: multiplying it, or its adjoint skewing it.
+    Returns the (nu, coeff) pairs, no zero coefficient; memoized."""
+    key = (action, family, skey, r, k)
+    found = _action_memo.get(key)
+    if found is None:
+        acc = {}
+        for j, b in series_term(family, shape, r).c.items():
+            for nu, m in (product_schur_pair(k, j) if action == "multiply"
+                          else skew_schur_pair(j, k)).items():
+                acc[nu] = acc.get(nu, 0) + b * m
+        found = _action_memo[key] = tuple(
+            (nu, c) for nu, c in acc.items() if c)
+    return found
+
+
 def apply_chain(chain, state, window):
     """Apply a factor chain to a SymFunc and collect the exact coefficient
     of every monomial inside the window (inclusive on both ends).  Returns
@@ -253,26 +282,34 @@ def apply_chain(chain, state, window):
         raise TypeError("state must be a SymFunc")
     if not state:
         return {}
-    rb, down, up = _termination_plan(chain, state.degree(), w)
+    app = list(reversed(chain.factors))
+    keys = [(f.action, f.family, _shape_key(f.shape), tuple(f.exps))
+            for f in app]
     lo = [w[v][0] for v in chain.vars]
     hi = [w[v][1] for v in chain.vars]
-    # per factor in application order: the box of exponents that later
-    # factors can still bring back into the window
-    stages = [(f, _self_bound(f), rb[u],
-               [lo[v] - up[u + 1][v] for v in range(nv)],
-               [hi[v] + down[u + 1][v] for v in range(nv)])
-              for u, f in enumerate(reversed(chain.factors))]
+    deg = state.degree()
+    plan_key = (tuple(keys), deg, tuple(w.values()))
+    stages = _plan_memo.get(plan_key)
+    if stages is None:
+        rb, down, up = _termination_plan(chain, deg, w)
+        # per factor in application order: its self bound, its plan bound
+        # and the box of exponents that later factors can still bring
+        # back into the window
+        stages = _plan_memo[plan_key] = tuple(
+            (_self_bound(f), rb[u],
+             tuple(lo[v] - up[u + 1][v] for v in range(nv)),
+             tuple(hi[v] + down[u + 1][v] for v in range(nv)))
+            for u, f in enumerate(app))
     cur = {(0,) * nv: state.c}
-    for f, (step, cap), rmax, lo_u, hi_u in stages:
-        mult = f.action == "multiply"
-        pair = product_schur_pair if mult else skew_schur_pair
+    for f, (action, family, skey, fexps), ((step, cap), rmax, lo_u, hi_u) \
+            in zip(app, keys, stages):
         nxt = {}
         for exps, val in cur.items():
             # the r whose exponent x + r*e stays inside the box
             rlo = 0
             rhi = (max(map(sum, val)) // step if step
                    else cap if cap is not None else rmax)
-            for x, e, low, high in zip(exps, f.exps, lo_u, hi_u):
+            for x, e, low, high in zip(exps, fexps, lo_u, hi_u):
                 if e > 0:
                     rlo = max(rlo, -((x - low) // e))
                     rhi = min(rhi, (high - x) // e)
@@ -282,17 +319,15 @@ def apply_chain(chain, state, window):
                 elif not low <= x <= high:
                     rhi = -1
             for r in range(rlo, rhi + 1):
-                term = series_term(f.family, f.shape, r).c
-                if not term:
-                    continue
                 acc = nxt.setdefault(
-                    tuple(x + r * e for x, e in zip(exps, f.exps)), {})
-                left, right = (val, term) if mult else (term, val)
-                for k, a in left.items():
-                    for j, b in right.items():
-                        ab = a * b
-                        for key, m in pair(k, j).items():
-                            acc[key] = acc.get(key, 0) + ab * m
+                    tuple(x + r * e for x, e in zip(exps, fexps)), {})
+                for k, a in val.items():
+                    pairs = _action_memo.get((action, family, skey, r, k))
+                    if pairs is None:
+                        pairs = _term_action(action, family, f.shape, skey,
+                                             r, k)
+                    for nu, m in pairs:
+                        acc[nu] = acc.get(nu, 0) + a * m
         cur = {}
         for e, d in nxt.items():
             d = {k: v for k, v in d.items() if v}
@@ -348,6 +383,7 @@ def _vertex_factors(pi, duals, varnames):
 
 
 DEFAULT_STRING_BOUND = 4
+_string_memo = {}  # (pi, dual, m) -> the chain of vertex_string
 
 
 def string_chain(pi, duals):
@@ -376,7 +412,9 @@ def vertex_string(pi, lam, dual=False):
     m = len(lam)
     if m == 0:
         return SymFunc.one()
-    chain = string_chain(pi, (dual,) * m)
+    chain = _string_memo.get((pi, dual, m))
+    if chain is None:
+        chain = _string_memo[pi, dual, m] = string_chain(pi, (dual,) * m)
     window = {chain.vars[i]: (lam[i], lam[i]) for i in range(m)}
     return apply_chain(chain, SymFunc.one(), window).get(lam, SymFunc.zero())
 

@@ -193,6 +193,14 @@ _lattice_cap_tightened = _in_source(
 _z_peel_signs_dropped = _in_source(
     oracle, "grouped.get(key, {}), v)", "grouped.get(key, {}), abs(v))")
 
+# every series term of two or more terms acts on a Schur function without
+# its last term (dropping a single-term series outright leaves both sides
+# of reordering_small equal)
+_series_term_last_dropped = _in_source(
+    vertexops, "series_term(family, shape, r).c.items()",
+    "(lambda t: t[:-1] if len(t) > 1 else t)("
+    "list(series_term(family, shape, r).c.items()))")
+
 
 def _off_diagonal_raised(orig):
     # every nonzero Kostka number off the diagonal one too large
@@ -275,6 +283,9 @@ FAULTS = [
      _last_removal_dropped, reordering_small),
     ("border-strips-sign-positive", schurring, "border_strips",
      _sign_forced_positive_strips, reordering_small),
+    # every chain factor acts through it, so both sides see the fault
+    ("term-action-drops-last-term", vertexops, "_term_action",
+     _series_term_last_dropped, reordering_small),
     ("plan-bounds-one-short", vertexops, "_termination_plan",
      _bounds_one_short, reordering_small),
     # the capped factors: the normal-ordering prefactors, on the

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symvertex.partitions import partitions_up_to, weight
+from symvertex.partitions import partitions_of, partitions_up_to, weight
 from symvertex.plethysm import dual_pi_schur, pi_schur, series_term
 from symvertex.schurring import SymFunc
 from symvertex.verifier import (DEFAULT_CLIFFORD_PIS, REORDERING_CASES,
@@ -438,15 +438,22 @@ class TestPlainDictReferences:
 
     @pytest.mark.parametrize("case", REORDERING_CASES)
     def test_reordering_sides(self, case):
-        for pi in partitions_up_to(3)[1:]:
-            for chain in _reordering_sides(case, pi):
-                for window in ((0, 4), (-2, 2)):
-                    win = {"z": window, "w": window}
-                    for lam in partitions_up_to(3):
-                        got = apply_chain(chain, S(lam), win)
-                        assert got == ref_apply_chain(chain, S(lam), win), \
-                            (pi, window, lam)
-                        assert exact_values(got)
+        # the shapes to weight 3 on two windows, then the suite's own
+        # shapes of weight 4 and window; Schur and Fraction inputs
+        runs = [(partitions_up_to(3)[1:], ((0, 4), (-2, 2)), 3),
+                (partitions_of(4), ((0, 4),), 4)]
+        for pis, windows, degree in runs:
+            states = ([S(lam) for lam in partitions_up_to(degree)]
+                      + list(FRACTION_STATE.c.values()))
+            for pi in pis:
+                for chain in _reordering_sides(case, pi):
+                    for window in windows:
+                        win = {"z": window, "w": window}
+                        for f in states:
+                            got = apply_chain(chain, f, win)
+                            assert got == ref_apply_chain(chain, f, win), \
+                                (pi, window, f)
+                            assert exact_values(got)
 
     @pytest.mark.parametrize("pi", [(), (2,), (1, 1), (2, 1)])
     def test_two_operator_strings(self, pi):
@@ -496,6 +503,52 @@ class TestPlainDictReferences:
                 assert exact_values(got)
 
 
+class TestCacheSafety:
+    # a caller that mutates a chain, a factor or a returned value after a
+    # call cannot change what a later call returns
+
+    WIN = {"z": (-1, 3), "w": (-1, 3)}
+
+    @pytest.mark.parametrize("mutate", [
+        lambda c: setattr(c.factors[0], "shape", S((1, 1))),
+        lambda c: setattr(c.factors[1], "exps", (1, -1)),
+        lambda c: setattr(c.factors[1], "family", "L"),
+        lambda c: c.factors.append(
+            make_factor("skew", "M", S((1,)), (0, 1), c.vars)),
+    ], ids=["shape", "exps", "family", "appended"])
+    def test_mutated_chain_is_applied_as_it_now_is(self, mutate):
+        _, chain = _reordering_sides("MM", (2, 1))
+        f = S((2, 1)) + S((1,))
+        before = apply_chain(chain, f, self.WIN)
+        assert before == ref_apply_chain(chain, f, self.WIN)
+        mutate(chain)
+        got = apply_chain(chain, f, self.WIN)
+        assert got == ref_apply_chain(chain, f, self.WIN)
+        assert got != before
+
+    def test_mutated_result_does_not_reach_the_next_call(self):
+        chain = string_chain((2, 1), (False, True))
+        win = {"z1": (-2, 2), "z2": (-2, 2)}
+        first = apply_chain(chain, S((1,)), win)
+        want = ref_apply_chain(chain, S((1,)), win)
+        assert first == want
+        for val in first.values():
+            val.c[(7,)] = 3
+            val.c.pop(next(iter(val.c)))
+        assert apply_chain(chain, S((1,)), win) == want
+        value = vertex_string((2,), (2, 1))
+        value.c.clear()
+        assert vertex_string((2,), (2, 1)) == pi_schur((2,), (2, 1))
+
+    def test_string_chain_is_new_on_every_call(self):
+        a, b = string_chain((2,), (False,)), string_chain((2,), (False,))
+        assert a is not b and a.factors is not b.factors
+        assert all(x is not y for x, y in zip(a.factors, b.factors))
+        a.factors.clear()
+        assert chain_summary(string_chain((2,), (False,))) == \
+            chain_summary(b)
+
+
 class TestVertexString:
     def test_too_tall_to_fit(self):
         assert vertex_string((3,), (2, 1)) == S((2, 1))
@@ -514,8 +567,10 @@ class TestVertexString:
         for pi in ((1,), (2,)):
             assert vertex_string(pi, lam) == pi_schur(pi, lam)
             assert vertex_string(pi, lam, dual=True) == dual_pi_schur(pi, lam)
-            with pytest.raises(ValueError, match="exceeds the bound"):
-                vertex_string(pi, lam + (1,))
+            # refused on every call, not only before a chain is kept
+            for dual in (False, True, False, True):
+                with pytest.raises(ValueError, match="exceeds the bound"):
+                    vertex_string(pi, lam + (1,), dual=dual)
 
 
 class TestZeroModes:
@@ -662,6 +717,14 @@ class TestLaurentAndStates:
             {"z": (1, 2), "w": (-1, 0)}
         with pytest.raises(ValueError, match="missing variable 'w'"):
             normalize_window({"z": (0, 3)}, vs)
+
+    @pytest.mark.parametrize("ends", [(1.9, 1.9), (True, 2), (0, 2.0),
+                                      (Fraction(1), 2), (0, "2")])
+    def test_non_int_window_ends_are_refused(self, ends):
+        with pytest.raises(ValueError, match="ends for 'w' must be integers"):
+            normalize_window({"z": (0, 1), "w": ends}, ("z", "w"))
+        with pytest.raises(ValueError, match="ends for 'z1' must be integers"):
+            apply_chain(string_chain((2,), (False,)), S((1,)), {"z1": ends})
 
     def test_one_minus_monomial(self):
         # (1 - x)^c is the column series of the constant c
