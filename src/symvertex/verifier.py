@@ -10,7 +10,7 @@ product of two is one addition.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 
@@ -22,11 +22,12 @@ from .plethysm import (cauchy_dual_pi_schur, cauchy_pi_schur, dual_pi_schur,
                        pi_branch, pi_schur, pi_unbranch, power_substitute,
                        series_term)
 from .schurring import SymFunc, _norm_coeff, to_power
-from .vertexops import (ChargedState, FactorChain, NormalProduct,
-                        annihilation_zero_word, anticommutator, apply_chain,
+from .vertexops import (FactorChain, NormalProduct, _anticommutator_into,
+                        _wrap_sectors, annihilation_zero_word, apply_chain,
                         creation_zero_word, make_factor,
                         normal_ordered_string, string_chain, vertex_string,
-                        zero_mode_normal_form, ZeroModeNormalForm)
+                        vertex_strings, zero_mode_normal_form,
+                        ZeroModeNormalForm)
 
 
 # #### reports ####
@@ -45,27 +46,22 @@ class VerificationReport:
         return not self.failures
 
     def to_obj(self):
-        return {"suite": self.suite,
-                "config": self.config,
-                "cases_run": self.cases_run,
-                "failures": self.failures,
-                "elapsed_ms": self.elapsed_ms}
+        return asdict(self)
 
     def summary_lines(self):
         """The verdict line and the inputs of the first five failures."""
         lines = ["suite %s: %d cases, %d failures, %d ms -> %s"
                  % (self.suite, self.cases_run, len(self.failures),
                     self.elapsed_ms, "PASS" if self.passed() else "FAIL")]
-        for rec in self.failures[:5]:
-            lines.append("  FAIL %s" % (rec["inputs"],))
+        lines += ["  FAIL %s" % (rec["inputs"],) for rec in self.failures[:5]]
         if len(self.failures) > 5:
             lines.append("  ... and %d more failures"
                          % (len(self.failures) - 5))
         return lines
 
 
-def _execute(suite, config_obj, keys, case_fn):
-    t0 = time.perf_counter()
+def _execute(suite, config_obj, keys, case_fn, t0=None):
+    t0 = time.perf_counter() if t0 is None else t0  # the suite's start
     failures = [r for r in map(case_fn, keys) if r is not None]
     elapsed = int((time.perf_counter() - t0) * 1000)
     return VerificationReport(suite, config_obj, len(keys), failures, elapsed)
@@ -79,8 +75,7 @@ def _laurent_diff(a, b):
             {e: b[e] for e in keys if e in b})
 
 
-# the shapes of weight 1 to 4: the default of reordering, theorem2 and
-# inverse-series
+# the shapes of weight 1 to 4, a default of three suites
 DEFAULT_PIS = tuple(p for w in range(1, 5) for p in partitions_of(w))
 
 
@@ -129,15 +124,12 @@ def verify_reordering(cases=REORDERING_CASES, pis=DEFAULT_PIS, window=(0, 4),
     lams = partitions_up_to(test_degree)
     win = {"z": tuple(window), "w": tuple(window)}
     keys = [(case, pi, lam) for case in cases for pi in pis for lam in lams]
-    sides = {}
+    sides = {(case, pi): _reordering_sides(case, pi, perturb)
+             for case in cases for pi in pis}
 
     def case_fn(key):
         case, pi, lam = key
-        pair = sides.get((case, pi))
-        if pair is None:
-            pair = sides.setdefault((case, pi),
-                                    _reordering_sides(case, pi, perturb))
-        lhs_chain, rhs_chain = pair
+        lhs_chain, rhs_chain = sides[case, pi]
         f = SymFunc.schur(lam)
         lhs = apply_chain(lhs_chain, f, win)
         rhs = apply_chain(rhs_chain, f, win)
@@ -208,10 +200,8 @@ def verify_zero_modes(charge_range=(-3, 3), perturb=False):
     """The four ordered forms of products of charge-shift words, checked
     symbolically and on every concrete charge in the range."""
     lo, hi = charge_range
-    keys = []
-    for name, _, _ in ZERO_MODE_IDENTITIES:
-        keys.append((name, "form"))
-        keys.extend((name, c) for c in range(lo, hi + 1))
+    keys = [(name, which) for name, _, _ in ZERO_MODE_IDENTITIES
+            for which in ("form", *range(lo, hi + 1))]
     by_name = {name: (spec, expected)
                for name, spec, expected in ZERO_MODE_IDENTITIES}
 
@@ -249,10 +239,10 @@ def verify_zero_modes(charge_range=(-3, 3), perturb=False):
 
 DEFAULT_CLIFFORD_PIS = ((), (2,), (1, 1), (3,), (2, 1), (4,))
 
-# relation -> the kinds of its two modes
-_CLIFFORD_RELATIONS = {"create-create": ("X", "X"),
-                       "annihilate-annihilate": ("Xstar", "Xstar"),
-                       "mixed": ("X", "Xstar")}
+# relation -> whether each of its two modes is an annihilation mode
+_CLIFFORD_RELATIONS = {"create-create": (False, False),
+                       "annihilate-annihilate": (True, True),
+                       "mixed": (False, True)}
 
 
 def verify_clifford(pis=DEFAULT_CLIFFORD_PIS, mode_range=(-3, 3),
@@ -262,33 +252,27 @@ def verify_clifford(pis=DEFAULT_CLIFFORD_PIS, mode_range=(-3, 3),
     pis = [partition(p) for p in pis]
     lo, hi = mode_range
     lams = partitions_up_to(degree_bound)
-    keys = []
-    for pi in pis:
-        for rel in _CLIFFORD_RELATIONS:
-            for m in range(lo, hi + 1):
-                for n in range(m if rel != "mixed" else lo, hi + 1):
-                    for lam in lams:
-                        for c in charges:
-                            keys.append((pi, rel, m, n, lam, c))
-    states = {(lam, c): ChargedState({c: SymFunc.schur(lam)})
-              for lam in lams for c in charges}
-    zero = ChargedState()
+    keys = [(pi, rel, m, n, lam, c) for pi in pis
+            for rel in _CLIFFORD_RELATIONS for m in range(lo, hi + 1)
+            for n in range(m if rel != "mixed" else lo, hi + 1)
+            for lam in lams for c in charges]
     # the deliberate mutation reads the extraction index off the shifted
     # charge, which is the mode one index up
     s = 1 if perturb else 0
 
     def case_fn(key):
         pi, rel, m, n, lam, c = key
-        ka, kb = _CLIFFORD_RELATIONS[rel]
-        st = states[lam, c]
-        got = anticommutator(pi, ka, m + s, kb, n + s, st)
-        expected = st if (rel == "mixed" and m + n == 0) else zero
+        da, db = _CLIFFORD_RELATIONS[rel]
+        state = {c: {lam: 1}}
+        got = _anticommutator_into(pi, da, m + s, db, n + s, state)
+        expected = state if (rel == "mixed" and m + n == 0) else {}
         if got == expected:
             return None
         return {"inputs": {"pi": format_partition(pi), "relation": rel,
                            "m": m, "n": n, "lambda": format_partition(lam),
                            "charge": c},
-                "lhs": state_to_obj(got), "rhs": state_to_obj(expected)}
+                "lhs": state_to_obj(_wrap_sectors(got)),
+                "rhs": state_to_obj(_wrap_sectors(expected))}
 
     cfg = {"pis": [format_partition(p) for p in pis],
            "mode_range": [lo, hi], "degree_bound": degree_bound,
@@ -304,19 +288,16 @@ def verify_multivertex(pis=((2,), (2, 1)), ms=(2, 3), duals=(False, True),
     normal-ordered form, coefficientwise on a window, applied to the
     states 1 and s[1]."""
     pis = [partition(p) for p in pis]
-    # built before any case runs, so a string past the bound is refused
-    # at once
+    # built first, so a string past the bound is refused before any case
     chains = {(pi, m, dual): string_chain(pi, (dual,) * m)
               for pi in pis for m in ms for dual in duals}
-    inputs = (("1", SymFunc.one()), ("s[1]", SymFunc.schur((1,))))
-    keys = [(pi, m, dual, label)
-            for pi in pis for m in ms for dual in duals
-            for label, _ in inputs]
-    by_label = dict(inputs)
+    inputs = {"1": SymFunc.one(), "s[1]": SymFunc.schur((1,))}
+    keys = [(pi, m, dual, label) for pi in pis for m in ms
+            for dual in duals for label in inputs]
 
     def case_fn(key):
         pi, m, dual, label = key
-        f = by_label[label]
+        f = inputs[label]
         chain = chains[pi, m, dual]
         win = {v: tuple(window) for v in chain.vars}
         lhs = apply_chain(chain, f, win)
@@ -334,7 +315,7 @@ def verify_multivertex(pis=((2,), (2, 1)), ms=(2, 3), duals=(False, True),
                 "rhs": laurent_to_obj(chain.vars, dr)}
 
     cfg = {"pis": [format_partition(p) for p in pis], "ms": list(ms),
-           "duals": list(duals), "inputs": [label for label, _ in inputs],
+           "duals": list(duals), "inputs": list(inputs),
            "window": list(window), "perturb": perturb}
     return _execute("multivertex", cfg, keys, case_fn)
 
@@ -369,8 +350,14 @@ def verify_route_agreement(pis=DEFAULT_PIS, max_weight=6, max_length=3,
     names = [name for name in ROUTES
              if (name != "vertex" or include_vertex)
              and (name != "oracle" or include_oracle)]
+    t0 = time.perf_counter()
+    # one vertex batch per (pi, dual) before any case: a long string fails
+    vertex = {(pi, dual): vertex_strings(pi, lams, dual)
+              for pi in pis for dual in (False, True) if include_vertex}
 
     def route(name, pi, lam, dual):
+        if name == "vertex":
+            return vertex[pi, dual][lam]
         try:
             return ROUTES[name][dual](pi, lam)
         except ValueError as e:
@@ -416,7 +403,7 @@ def verify_route_agreement(pis=DEFAULT_PIS, max_weight=6, max_length=3,
            "max_weight": max_weight, "max_length": max_length,
            "include_oracle": include_oracle,
            "include_vertex": include_vertex, "perturb": perturb}
-    return _execute("theorem2", cfg, keys, case_fn)
+    return _execute("theorem2", cfg, keys, case_fn, t0)
 
 
 # #### suite: inverse series ####

@@ -31,17 +31,21 @@ exactly, since B_n s_mu = 0 for n < -len(mu).
 Inner loops accumulate into plain {key: coeff} dicts -- {exps: {lam:
 coeff}} in apply_chain, {charge: {nu: coeff}} in modes and anticommutators
 -- and wrap a SymFunc or ChargedState once per result at the public
-boundary.  In apply_chain each series term acts on a Schur function s_k
-through _term_action, memoized on (action, family, shape key, r, k), so a
-state key costs one lookup and one merge; the termination plan and the
-per-stage boxes are memoized on the factors' data (never the Factor
-objects), the state degree and the window, so a chain mutated after a call
-is planned afresh.
+boundary.  The suites work in batches below it: clifford compares the raw
+sectors of _anticommutator_into, and vertex_strings runs one apply_chain
+per label length over the box of the labels' parts (a box the labels fill
+sparsely, as at high weights, is split).  In apply_chain each series term
+acts on a Schur function s_k through _term_action, memoized on (action,
+family, shape key, r, k), so a state key costs one lookup and one merge;
+the termination plan and the per-stage boxes are memoized on the factors'
+data (never the Factor objects), the state degree and the window, so a
+chain mutated after a call is planned afresh.
 """
 
 import sys
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from types import MappingProxyType
 
 from .partitions import conjugate, partition, weight
@@ -70,9 +74,8 @@ class ChargedState(_LinComb):
         return self._new({c + k: f for c, f in self.c.items()})
 
     def __repr__(self):
-        bits = ["|%d, %s>" % (c, format_symfunc(f))
-                for c, f in sorted(self.c.items())]
-        return " + ".join(bits) if bits else "0"
+        return " + ".join("|%d, %s>" % (c, format_symfunc(f))
+                          for c, f in sorted(self.c.items())) or "0"
 
 
 # #### windows ####
@@ -129,13 +132,8 @@ class FactorChain:
 
 
 def _var_power_label(varnames, exps):
-    bits = []
-    for v, e in zip(varnames, exps):
-        if e == 1:
-            bits.append(v)
-        elif e:
-            bits.append("%s^%d" % (v, e))
-    return "*".join(bits) or "1"
+    return "*".join(v if e == 1 else "%s^%d" % (v, e)
+                    for v, e in zip(varnames, exps) if e) or "1"
 
 
 def _shape_label(shape):
@@ -269,6 +267,16 @@ def _term_action(action, family, shape, skey, r, k):
     return found
 
 
+def _nonzero(nested):
+    """{key: {k: coeff}} without its zero coefficients and empty entries."""
+    out = {}
+    for key, d in nested.items():
+        d = {k: v for k, v in d.items() if v}
+        if d:
+            out[key] = d
+    return out
+
+
 def apply_chain(chain, state, window):
     """Apply a factor chain to a SymFunc and collect the exact coefficient
     of every monomial inside the window (inclusive on both ends).  Returns
@@ -328,11 +336,7 @@ def apply_chain(chain, state, window):
                                              r, k)
                     for nu, m in pairs:
                         acc[nu] = acc.get(nu, 0) + a * m
-        cur = {}
-        for e, d in nxt.items():
-            d = {k: v for k, v in d.items() if v}
-            if d:
-                cur[e] = d
+        cur = _nonzero(nxt)
         if not cur:
             break
     return {e: SymFunc._new(d) for e, d in cur.items()
@@ -383,7 +387,6 @@ def _vertex_factors(pi, duals, varnames):
 
 
 DEFAULT_STRING_BOUND = 4
-_string_memo = {}  # (pi, dual, m) -> the chain of vertex_string
 
 
 def string_chain(pi, duals):
@@ -402,21 +405,38 @@ def string_chain(pi, duals):
     return FactorChain(varnames, factors)
 
 
+def vertex_strings(pi, lams, dual=False):
+    """vertex_string of every label in lams, as {label: SymFunc}: one
+    apply_chain per batch of labels of one length, exact on the box of their
+    parts, longest first (so a string past the bound is refused at once).  A
+    box of more than 3 points per label is split by parts, last part first."""
+    groups = {}
+    for lam in map(partition, lams):
+        groups.setdefault(len(lam), set()).add(lam)
+    out = {}
+    for m, group in sorted(groups.items(), reverse=True):
+        chain = string_chain(pi, (dual,) * m)
+        todo = [(group, m)]
+        while todo:
+            group, i = todo.pop()
+            box = list(zip(*group))
+            if i and prod(max(p) - min(p) + 1 for p in box) > 3 * len(group):
+                todo += [({lam for lam in group if lam[i - 1] == x}, i - 1)
+                         for x in {lam[i - 1] for lam in group}]
+                continue
+            window = {v: (min(p), max(p)) for v, p in zip(chain.vars, box)}
+            vals = apply_chain(chain, SymFunc.one(), window)
+            out.update((lam, vals.get(lam, SymFunc.zero())) for lam in group)
+    return out
+
+
 def vertex_string(pi, lam, dual=False):
     """Coefficient route to the deformed Schur functions: apply one vertex
     operator per part of lam to the constant 1 and read off the monomial
     z1^lam1 ... zm^lamm.  With dual=True uses annihilation operators and
     yields the companion family."""
-    pi = partition(pi)
     lam = partition(lam)
-    m = len(lam)
-    if m == 0:
-        return SymFunc.one()
-    chain = _string_memo.get((pi, dual, m))
-    if chain is None:
-        chain = _string_memo[pi, dual, m] = string_chain(pi, (dual,) * m)
-    window = {chain.vars[i]: (lam[i], lam[i]) for i in range(m)}
-    return apply_chain(chain, SymFunc.one(), window).get(lam, SymFunc.zero())
+    return vertex_strings(pi, (lam,), dual)[lam]
 
 
 # #### modes and anticommutators ####
@@ -535,22 +555,24 @@ def mode(pi, kind, m, state):
     c-1-m and lowers it; the offsets are the zero-mode calculus absorbed
     into the extraction (see zero_mode_normal_form).
     """
-    pi = partition(pi)
-    dual = _kind_is_dual(kind)
-    return _wrap_sectors(_mode_into({}, pi, dual, m, _state_sectors(state)))
+    return _wrap_sectors(_mode_into({}, partition(pi), _kind_is_dual(kind),
+                                    m, _state_sectors(state)))
+
+
+def _anticommutator_into(pi, dual_a, m, dual_b, n, sectors):
+    """{mode_a, mode_b} on sectors {charge: {lam: coeff}}, zeros dropped."""
+    out = _mode_into({}, pi, dual_a, m,
+                     _mode_into({}, pi, dual_b, n, sectors))
+    _mode_into(out, pi, dual_b, n, _mode_into({}, pi, dual_a, m, sectors))
+    return _nonzero(out)
 
 
 def anticommutator(pi, kind_a, m, kind_b, n, state):
     """{mode_a, mode_b} applied to a ChargedState.  Both modes have the
     shape pi: the Clifford relations hold for one shape at a time."""
-    pi = partition(pi)
-    dual_b = _kind_is_dual(kind_b)
-    sectors = _state_sectors(state)
-    dual_a = _kind_is_dual(kind_a)
-    out = _mode_into({}, pi, dual_a, m,
-                     _mode_into({}, pi, dual_b, n, sectors))
-    _mode_into(out, pi, dual_b, n, _mode_into({}, pi, dual_a, m, sectors))
-    return _wrap_sectors(out)
+    return _wrap_sectors(_anticommutator_into(
+        partition(pi), _kind_is_dual(kind_a), m, _kind_is_dual(kind_b), n,
+        _state_sectors(state)))
 
 
 # #### normal-ordered products ####
@@ -594,9 +616,9 @@ def normal_ordered_string(pi, duals):
     one per variable z1..zm (annihilation where duals[i] is true):
     prefactors (1 - zi^-1 zj) for i < j, all multiplications left of all
     adjoints, and one cross-variable adjoint per nonzero index tuple (see
-    _vertex_factors).  Like kinds give the
-    polynomial prefactors; mixed kinds carry their inverse, kept symbolic,
-    and are only verified for two operators, so more are refused."""
+    _vertex_factors).  Like kinds give the polynomial prefactors; mixed
+    kinds carry their inverse, kept symbolic, and are only verified for two
+    operators, so more are refused."""
     duals = tuple(duals)
     m = len(duals)
     varnames = tuple("z%d" % (i + 1) for i in range(m))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from symvertex import vertexops
 from symvertex.cli import (ROUTES, VERIFY_FLAGS, _merge_dash_values,
                            _t_int_list, _t_range, build_parser, main)
 from symvertex.config import _PARSERS, ENV_CONFIG
@@ -332,6 +333,26 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert ("error: argument %s: " % flag) in captured.err
+
+    def test_long_string_is_refused_before_any_case(self, capsys,
+                                                     monkeypatch):
+        calls = []
+        for name in ROUTES:
+            monkeypatch.setitem(ROUTES, name, (
+                lambda pi, lam, name=name: calls.append(name),) * 2)
+        code, out, err = run(capsys, "verify", "theorem2",
+                             "--max-length", "5")
+        assert (code, out, calls) == (2, "", [])
+        assert "string of 5 vertices exceeds the bound 4" in err
+
+    def test_skip_vertex_builds_no_string(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(vertexops, "string_chain",
+                            lambda *args: built.append(args))
+        code, out, _ = run(capsys, "verify", "theorem2", "--max-length", "5",
+                           "--skip-vertex")
+        assert (code, built) == (0, [])
+        assert out.strip().endswith("-> PASS")
 
     def test_unknown_reordering_case(self, capsys):
         code, _, err = run(capsys, "verify", "reordering", "--cases", "XX")

@@ -202,6 +202,22 @@ _series_term_last_dropped = _in_source(
     "list(series_term(family, shape, r).c.items()))")
 
 
+# every series coefficient taken as 1: a term acts as the sum of its
+# Schur functions
+_series_coefficients_one = _in_source(
+    vertexops, "acc.get(nu, 0) + b * m", "acc.get(nu, 0) + m")
+
+# every series term acts without its first term
+_series_term_first_dropped = _in_source(
+    vertexops, "series_term(family, shape, r).c.items()",
+    "list(series_term(family, shape, r).c.items())[1:]")
+
+# the box of each label length one short at the top: the labels with the
+# largest part in some variable read 0
+_box_top_short = _in_source(
+    vertexops, "(min(p), max(p))", "(min(p), max(min(p), max(p) - 1))")
+
+
 def _off_diagonal_raised(orig):
     # every nonzero Kostka number off the diagonal one too large
     def planted(kappa, alpha):
@@ -286,6 +302,12 @@ FAULTS = [
     # every chain factor acts through it, so both sides see the fault
     ("term-action-drops-last-term", vertexops, "_term_action",
      _series_term_last_dropped, reordering_small),
+    # reordering_small passes with these two: its identity holds for the
+    # corrupted series too
+    ("term-action-coefficients-one", vertexops, "_term_action",
+     _series_coefficients_one, clifford_small),
+    ("term-action-drops-first-term", vertexops, "_term_action",
+     _series_term_first_dropped, clifford_small),
     ("plan-bounds-one-short", vertexops, "_termination_plan",
      _bounds_one_short, reordering_small),
     # the capped factors: the normal-ordering prefactors, on the
@@ -309,6 +331,10 @@ FAULTS = [
     # theorem2 sees the fault
     ("cross-family-flipped", vertexops, "_vertex_factors",
      _first_cross_family_flipped, vertex_routes_small),
+    # the suite looks the batch up in verifier; vertex_string, its
+    # one-label case, reads a box of one point
+    ("vertex-strings-box-top-short", verifier, "vertex_strings",
+     _box_top_short, vertex_routes_small),
     # products and skews outside the Pieri rules look it up in schurring
     ("lr-tableaux-drops-last", schurring, "_lr_tableaux",
      _last_key_dropped, clifford_small),

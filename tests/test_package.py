@@ -40,18 +40,23 @@ def test_tracer_targets_resolve():
     assert {t[0] for t in tracing.TARGETS} <= set(tracing.MODULES)
 
 
-def test_import_loads_no_cli_argparse_or_numpy():
-    # the README promises no numpy, and whatever `import symvertex` loads is
-    # paid by every program and by the benchmark's set-up; the CLI and its
-    # argparse are loaded only by a program that parses a command line
+def _fresh_stdout(code):
+    # the output of `code` in a fresh interpreter importing this package
     src = os.path.dirname(os.path.dirname(symvertex.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, symvertex; print(sorted(m for m in sys.modules if m "
-            "in ('symvertex.cli', 'argparse', 'numpy')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
+def test_import_loads_no_cli_argparse_or_numpy():
+    # the README promises no numpy, and whatever `import symvertex` loads is
+    # paid by every program and by the benchmark's set-up; the CLI and its
+    # argparse are loaded only by a program that parses a command line
+    out = _fresh_stdout(
+        "import sys, symvertex; print(sorted(m for m in sys.modules if m "
+        "in ('symvertex.cli', 'argparse', 'numpy')))")
     assert out.strip() == "[]"
 
 
@@ -61,3 +66,17 @@ def test_package_stays_under_the_line_ceiling():
     pkg = Path(symvertex.__file__).resolve().parent
     lines = sum(len(p.read_text().splitlines()) for p in pkg.glob("*.py"))
     assert lines <= 3370
+
+
+def test_import_fills_no_memo():
+    # work done at import is paid by every program and by the benchmark's
+    # set-up; the memos fill on first use
+    out = _fresh_stdout(
+        "import sys, symvertex, symvertex.cli\n"
+        "memos = {'%s.%s' % (n, a): len(v) for n, m in sys.modules.items()"
+        " if n.startswith('symvertex') for a, v in vars(m).items()"
+        " if a.endswith('_memo') and isinstance(v, dict)}\n"
+        "print(len(memos), sorted(k for k, n in memos.items() if n))")
+    count, filled = out.split(" ", 1)
+    assert int(count) >= 5
+    assert filled.strip() == "[]"

@@ -22,7 +22,7 @@ from symvertex.vertexops import (DEFAULT_STRING_BOUND, ChargedState,
                                  make_factor, mode,
                                  normal_ordered_string, normalize_window,
                                  string_chain, vertex_string,
-                                 zero_mode_normal_form)
+                                 vertex_strings, zero_mode_normal_form)
 
 S = SymFunc.schur
 ONE = SymFunc.one()
@@ -571,6 +571,35 @@ class TestVertexString:
             for dual in (False, True, False, True):
                 with pytest.raises(ValueError, match="exceeds the bound"):
                     vertex_string(pi, lam + (1,), dual=dual)
+
+    def test_batch_equals_each_label(self):
+        # mixed lengths, (), a repeat, and lengths sharing one box; the
+        # sparse box of length 3 is split by last parts, then by middle
+        # parts.  No label reads 0, as each value is s_lam plus lower terms
+        lams = [(2, 1), (), (3,), (1, 1, 1), (1,), (2, 2), (), (4, 1, 1),
+                (1, 1), (5, 1), (3, 3), (4, 2, 2), (5, 3, 1), (5, 1, 1)]
+        for pi in ((2,), (2, 1), (1, 1, 1)):
+            for dual in (False, True):
+                got = vertex_strings(pi, lams, dual)
+                assert got == {lam: vertex_string(pi, lam, dual)
+                               for lam in lams}, (pi, dual)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: vertex_strings((2,), [(2, 1), (3,), (1,), ()]),
+    lambda: mode((2, 1), "X", -1, ChargedState({0: S((1,)), 1: S((2,))})).c,
+    lambda: anticommutator((2,), "X", 1, "Xstar", -1,
+                           ChargedState({0: S((1,)), -1: S((2, 1))})).c,
+], ids=["vertex_strings", "mode", "anticommutator"])
+def test_mutated_result_leaves_the_next_call_unchanged(call):
+    first = call()
+    want = {k: dict(v.c) for k, v in first.items()}
+    assert all(want.values())
+    for val in first.values():
+        val.c.clear()
+        val.c[(7,)] = 3
+    first.clear()
+    assert {k: dict(v.c) for k, v in call().items()} == want
 
 
 class TestZeroModes:
