@@ -11,6 +11,7 @@ offending flag), or a request outside a library bound (ValueError);
 import argparse
 import inspect
 import json
+import os
 import sys
 
 from .config import ENV_CONFIG, ConfigError, load_config
@@ -100,10 +101,13 @@ def _check_budget(config, value, what):
 
 
 def _emit(config, text_fn, obj_fn):
-    if config.format == "json":
-        print(dumps(obj_fn()))
-    else:
-        print(text_fn())
+    text = dumps(obj_fn()) if config.format == "json" else text_fn()
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader has gone; the exit code stands, and the interpreter's
+        # final flush must not raise again
+        sys.stdout = open(os.devnull, "w")
 
 
 # #### computation subcommands ####

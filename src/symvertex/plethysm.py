@@ -19,7 +19,8 @@ are mutually inverse: M_g(z) L_g(z) = 1.
 
 from types import MappingProxyType
 
-from .partitions import conjugate, partition, partitions_of, weight
+from . import schurring
+from .partitions import conjugate, contains, partition, partitions_of, weight
 from .schurring import (SymFunc, PowerExpr, from_power, product_schur_pair,
                         to_power)
 
@@ -136,7 +137,9 @@ def _cauchy(pi, lam, dual):
     c^lam_{mu,nu} s_mu.  The plain family takes column-series coefficients
     of pi.  The companion takes those of the conjugate shape -- column
     series when |pi| is even, row series when it is odd -- with the sign
-    (-1)^|mu| and a conjugate on the output label."""
+    (-1)^|mu| and a conjugate on the output label.  Pairs with mu or nu
+    outside lam are skipped; a Pieri pair (a shape empty, one row or one
+    column) reads the product, and any other counts c^lam_{mu,nu} alone."""
     pi = _require_nonempty(pi)
     lam = partition(lam)
     if dual:
@@ -148,7 +151,11 @@ def _cauchy(pi, lam, dual):
     for r in range(weight(lam) // weight(pi) + 1):
         for nu, co in series_term(family, shape, r).c.items():
             for mu in partitions_of(weight(lam) - weight(nu)):
-                c = product_schur_pair(mu, nu).get(lam, 0)
+                if not (contains(lam, nu) and contains(lam, mu)):
+                    continue
+                lr = min(len(mu), len(nu)) > 1 and min(mu[0], nu[0]) > 1
+                c = (schurring._lr_tableaux(max(mu, nu), min(mu, nu), lam)
+                     if lr else product_schur_pair(mu, nu)).get(lam, 0)
                 if not c:
                     continue
                 if dual:

@@ -154,6 +154,9 @@ def _lr_tableaux(mu, nu=None, lam=None):
 
     Product mode (content nu, outer shape free) returns {outer: count};
     skew mode (outer shape lam, content free) returns {content: count}.
+    Given both nu and lam, product mode holds the outer shape at lam: every
+    label is capped by lam's row and a row ending short of it is dropped,
+    so the count at key lam is c^lam_{mu,nu} (lrcalc's lrcoef).
     Rows are filled top to bottom; a row is stored as the cumulative ends
     of its labels 0 (the inner cells), 1, 2, ..., and row r holds labels
     at most r + 1.  Column strictness: labels <= j in row r end no further
@@ -161,8 +164,8 @@ def _lr_tableaux(mu, nu=None, lam=None):
     left, top to bottom): the j's of the rows above plus this row's j's do
     not exceed the (j - 1)'s of the rows above.
     """
-    skew = lam is not None
-    rows = len(lam) if skew else len(mu) + len(nu)
+    skew, outer = nu is None, lam is not None
+    rows = len(lam) if outer else len(mu) + len(nu)
     inner = mu + (0,) * (rows - len(mu))
     total = sum(lam) - sum(mu) if skew else sum(nu)
     top = len(lam) if skew else len(nu)
@@ -186,6 +189,8 @@ def _lr_tableaux(mu, nu=None, lam=None):
         if j > min(r + 1, top):
             if skew and e != lam[r]:
                 return
+            if outer and not skew and e < lam[r]:
+                return
             fill_row(r + 1, ends + [e] * (r + 2 - len(ends)), shape + [e],
                      placed)
             return
@@ -193,6 +198,8 @@ def _lr_tableaux(mu, nu=None, lam=None):
         if j > 1:
             cap = min(cap, before[j - 1] - content[j])
         cap = min(cap, lam[r] - e if skew else nu[j - 1] - content[j])
+        if outer and not skew:
+            cap = min(cap, lam[r] - e)
         for k in range(cap + 1):
             content[j] += k
             fill_label(r, j + 1, ends + [e + k], before, above, shape,

@@ -443,6 +443,7 @@ def vertex_string(pi, lam, dual=False):
 
 _mode_memo = {}
 _stage_memo = {}  # (pi, dual, lam) -> _skew_stage
+_stage_chain_memo = {}  # (pi, dual) -> (skew chain, period)
 
 
 def _straighten(n, mu):
@@ -472,13 +473,15 @@ def _skew_stage(pi, dual, lam):
     by degree or by a finite series, so the window never cuts them."""
     key = (pi, dual, lam)
     if key not in _stage_memo:
-        factors = _vertex_factors(pi, (dual,), ("z",))[2:]
-        ones = [f for f in factors
-                if f.family == "M" and f.shape == SymFunc.one()]
-        skews = [f for f in factors if f not in ones]
-        period = ones[0].exps[0] if ones else 0
-        res = apply_chain(FactorChain(("z",), skews), SymFunc.schur(lam),
-                          {"z": (0, sys.maxsize)})
+        if (pi, dual) not in _stage_chain_memo:
+            factors = _vertex_factors(pi, (dual,), ("z",))[2:]
+            ones = [f for f in factors
+                    if f.family == "M" and f.shape == SymFunc.one()]
+            _stage_chain_memo[pi, dual] = (
+                FactorChain(("z",), [f for f in factors if f not in ones]),
+                ones[0].exps[0] if ones else 0)
+        chain, period = _stage_chain_memo[pi, dual]
+        res = apply_chain(chain, SymFunc.schur(lam), {"z": (0, sys.maxsize)})
         _stage_memo[key] = {
             e: {(conjugate(mu) if dual else mu): c for mu, c in v.c.items()}
             for (e,), v in res.items()}, period

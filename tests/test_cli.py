@@ -3,6 +3,7 @@
 import inspect
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -500,6 +501,26 @@ class TestExitCodes:
                            "--lambda", "[1]", "--config", "/no/such/file")
         assert code == 2
         assert "--config" in err
+
+
+class _ClosedPipe(io.StringIO):
+    # a standard output whose reader has gone
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ("product", "--mu", "[2,1]", "--nu", "[2,1]"),
+    ("verify", "zero-modes", "--perturb", "--timing", "none"),
+    ("verify", "zero-modes", "--format", "json", "--timing", "none")])
+def test_closed_stdout_keeps_the_exit_code(capsys, monkeypatch, argv):
+    want = main(list(argv))
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(list(argv))
+    sys.stdout.close()
+    assert code == want
+    assert capsys.readouterr().err == ""
 
 
 class TestConfigPlumbing:

@@ -189,6 +189,11 @@ _lattice_cap_tightened = _in_source(
     schurring, "before[j - 1] - content[j]",
     "max(before[j - 1] - content[j] - 1, 0)")
 
+# the count of one coefficient (the outer shape held at lam) caps each
+# label one box short of lam's row
+_outer_cap_short = _in_source(
+    schurring, "min(cap, lam[r] - e)", "min(cap, lam[r] - e - 1)")
+
 # the Z side's peel adds every entry of its row, the negative ones too
 _z_peel_signs_dropped = _in_source(
     oracle, "grouped.get(key, {}), v)", "grouped.get(key, {}), abs(v))")
@@ -344,6 +349,10 @@ FAULTS = [
     # lr_multiplicities_small see the tighter cap; the others pass
     ("lr-tableaux-lattice-cap-tightened", schurring, "_lr_tableaux",
      _lattice_cap_tightened, clifford_small),
+    # only the Cauchy route counts with the outer shape fixed, and only past
+    # weight 3 does it meet a pair that no Pieri rule takes
+    ("lr-tableaux-outer-cap-short", schurring, "_lr_tableaux",
+     _outer_cap_short, lr_multiplicities_small),
 ]
 
 

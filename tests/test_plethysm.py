@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symvertex import schurring
 from symvertex.partitions import (conjugate, partitions_of, partitions_up_to,
                                   weight)
+from symvertex import plethysm as plethysm_module
 from symvertex.plethysm import (cauchy_dual_pi_schur, cauchy_pi_schur,
                                 dual_pi_schur, pi_branch, pi_schur,
                                 pi_unbranch, plethysm, series_term)
@@ -170,6 +172,41 @@ class TestCauchyRoutes:
     def test_agrees_with_adjoint_route(self, pi, lam):
         assert cauchy_pi_schur(pi, lam) == pi_schur(pi, lam)
         assert cauchy_dual_pi_schur(pi, lam) == dual_pi_schur(pi, lam)
+
+    # labels past weight 8, where most (mu, nu) pairs miss lam and the rest
+    # count c^lam_{mu,nu} with the outer shape fixed
+    @pytest.mark.parametrize("pi, lam", [((2, 1), (4, 3, 3, 2)),
+                                         ((2,), (5, 4, 3)),
+                                         ((1, 1), (4, 3, 2, 1)),
+                                         ((2,), (4, 4, 2))])
+    def test_large_labels_agree_with_adjoint_route(self, pi, lam):
+        assert cauchy_pi_schur(pi, lam) == pi_schur(pi, lam)
+        assert cauchy_dual_pi_schur(pi, lam) == dual_pi_schur(pi, lam)
+
+    def test_runs_no_skew(self, monkeypatch):
+        # the route stays independent of the perp and vertex routes: from
+        # cold memos it answers with every skew refused
+        labels = [((2, 1), (3, 3, 2)), ((2,), (3, 2, 1)), ((1, 1), (4, 2))]
+        want = [(pi_schur(pi, lam), dual_pi_schur(pi, lam))
+                for pi, lam in labels]
+        for mod in (schurring, plethysm_module):
+            for attr in list(vars(mod)):
+                if attr.endswith("_memo"):
+                    monkeypatch.setattr(mod, attr, {})
+
+        def refused(*args):
+            raise AssertionError("the Cauchy route skewed")
+
+        def product_only(mu, nu=None, lam=None):
+            assert nu is not None
+            return kernel(mu, nu, lam)
+
+        kernel = schurring._lr_tableaux
+        monkeypatch.setattr(schurring, "skew_schur_pair", refused)
+        monkeypatch.setattr(SymFunc, "skew_by", refused)
+        monkeypatch.setattr(schurring, "_lr_tableaux", product_only)
+        assert [(cauchy_pi_schur(pi, lam), cauchy_dual_pi_schur(pi, lam))
+                for pi, lam in labels] == want
 
 
 class TestPlethysmShapeFacts:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symvertex import schurring
 from symvertex.oracle import oracle_product
 from symvertex.partitions import (conjugate, contains, partition,
                                   partitions_of, partitions_up_to, weight)
@@ -318,6 +319,25 @@ class TestLittlewoodRichardson:
             for lam, c in prod.terms():
                 assert product_schur_pair(conjugate(mu), conjugate(nu)).get(
                     conjugate(lam), 0) == c
+
+    def test_fixed_outer_count_weight_eight(self):
+        # the kernel given both content and outer shape counts the one
+        # coefficient; lam runs over every weight up to 8, so most lam do
+        # not contain mu or nu or have the wrong weight
+        def count(mu, nu, lam):
+            return schurring._lr_tableaux(mu, nu, lam).get(lam, 0)
+
+        lams = partitions_up_to(8)
+        for a in range(1, 8):
+            for b in range(1, 9 - a):
+                for mu in partitions_of(a):
+                    for nu in partitions_of(b):
+                        prod = product_schur_pair(mu, nu)
+                        for lam in lams:
+                            c = count(mu, nu, lam)
+                            assert c == prod.get(lam, 0), (mu, nu, lam)
+                            assert c == count(conjugate(mu), conjugate(nu),
+                                              conjugate(lam)), (mu, nu, lam)
 
 
 @lru_cache(maxsize=None)
