@@ -116,9 +116,7 @@ def _run_pi_schur(args, config):
     pi, lam, dual = args.pi, args.lam, args.command == "dual-pi-schur"
     _check_budget(config, weight(lam), "pi-schur at lambda=%s"
                   % format_partition(lam))
-    routes = list(args.route or [])
-    if not routes:
-        routes = ["perp"]
+    routes = list(args.route or ["perp"])
     if args.check_oracle and "oracle" not in routes:
         routes.append("oracle")
     if "oracle" in routes and not pi:
@@ -339,92 +337,58 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "symvertex: error: %s\n" % message)
 
 
-def _add_common(q):
-    q.add_argument("--config", metavar="PATH",
-                   help="config file (key = value lines); default from "
-                        "$%s" % ENV_CONFIG)
-    q.add_argument("--format", choices=("text", "json"))
+_PARTITION = {"type": _t_partition, "required": True}
+
+# flag -> argparse options, for every subcommand but verify's own flags
+_FLAGS = {
+    "--config": {"metavar": "PATH",
+                 "help": "config file (key = value lines); default from "
+                         "$%s" % ENV_CONFIG},
+    "--format": {"choices": ("text", "json")},
     # parsed and ignored, so that command lines written for the thread
     # pool still run
-    q.add_argument("--jobs", type=_t_int_at_least(1),
-                   help="accepted for compatibility; suites run serially")
-    q.add_argument("--degree-budget", type=_t_count, dest="degree_budget")
+    "--jobs": {"type": _t_int_at_least(1),
+               "help": "accepted for compatibility; suites run serially"},
+    "--degree-budget": {"type": _t_count},
+    "--pi": _PARTITION, "--lambda": dict(_PARTITION, dest="lam"),
+    "--mu": _PARTITION, "--nu": _PARTITION,
+    "--outer": _PARTITION, "--inner": _PARTITION,
+    "--route": {"action": "append", "choices": sorted(ROUTES)},
+    "--check-oracle": {"action": "store_true"},
+    "--family": {"choices": ("M", "L"), "required": True},
+    "--shape": _PARTITION, "--skew": {"type": _t_partition},
+    "--max-r": {"type": _t_count, "required": True},
+    "--kind": {"choices": ("X", "Xstar"), "required": True},
+    "--m": {"type": int, "required": True},
+    "--state": {"required": True,
+                "help": "charged-state JSON, a SymFunc JSON list, or "
+                        "shorthand like 's[2,1] - s[]'"},
+    "--charge": {"type": int, "default": 0},
+    "--perturb": {"action": "store_true", "help": "wire in the suite's "
+                  "deliberate mutation (must fail)"},
+    "--timing": {"choices": ("wall", "none"), "default": "wall",
+                 "help": "'none' zeroes elapsed_ms for reproducible output"},
+}
+_COMMON_FLAGS = ("--config", "--format", "--jobs", "--degree-budget")
 
-
-def _add_pi_schur(q):
-    q.add_argument("--pi", type=_t_partition, required=True)
-    q.add_argument("--lambda", dest="lam", type=_t_partition, required=True)
-    q.add_argument("--route", action="append", choices=sorted(ROUTES))
-    q.add_argument("--check-oracle", action="store_true",
-                   dest="check_oracle")
-    q.set_defaults(run=_run_pi_schur)
-
-
-def _add_branch(q):
-    q.add_argument("--pi", type=_t_partition, required=True)
-    q.add_argument("--lambda", dest="lam", type=_t_partition, required=True)
-    q.set_defaults(run=_run_branch)
-
-
-def _add_product(q):
-    q.add_argument("--mu", type=_t_partition, required=True)
-    q.add_argument("--nu", type=_t_partition, required=True)
-    q.add_argument("--check-oracle", action="store_true",
-                   dest="check_oracle")
-    q.set_defaults(run=_run_product)
-
-
-def _add_skew(q):
-    q.add_argument("--lambda", dest="lam", type=_t_partition, required=True)
-    q.add_argument("--mu", type=_t_partition, required=True)
-    q.set_defaults(run=_run_skew)
-
-
-def _add_plethysm(q):
-    q.add_argument("--outer", type=_t_partition, required=True)
-    q.add_argument("--inner", type=_t_partition, required=True)
-    q.add_argument("--check-oracle", action="store_true",
-                   dest="check_oracle")
-    q.set_defaults(run=_run_plethysm)
-
-
-def _add_series(q):
-    q.add_argument("--family", choices=("M", "L"), required=True)
-    q.add_argument("--shape", type=_t_partition, required=True)
-    q.add_argument("--skew", type=_t_partition)
-    q.add_argument("--max-r", dest="max_r", type=_t_count, required=True)
-    q.set_defaults(run=_run_series)
-
-
-def _add_mode(q):
-    q.add_argument("--pi", type=_t_partition, required=True)
-    q.add_argument("--kind", choices=("X", "Xstar"), required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--state", required=True,
-                   help="charged-state JSON, a SymFunc JSON list, or "
-                        "shorthand like 's[2,1] - s[]'")
-    q.add_argument("--charge", type=int, default=0)
-    q.set_defaults(run=_run_mode)
+# subcommand -> (runner, its own flags in the order of the help)
+_PI_SCHUR = (_run_pi_schur, ("--pi", "--lambda", "--route", "--check-oracle"))
+_SUBCOMMANDS = {
+    "pi-schur": _PI_SCHUR, "dual-pi-schur": _PI_SCHUR,
+    "branch": (_run_branch, ("--pi", "--lambda")),
+    "product": (_run_product, ("--mu", "--nu", "--check-oracle")),
+    "skew": (_run_skew, ("--lambda", "--mu")),
+    "plethysm": (_run_plethysm, ("--outer", "--inner", "--check-oracle")),
+    "series": (_run_series, ("--family", "--shape", "--skew", "--max-r")),
+    "mode": (_run_mode, ("--pi", "--kind", "--m", "--state", "--charge")),
+    "verify": (_run_verify, ("--perturb", "--timing")),
+}
 
 
 def _add_verify(q):
     q.add_argument("suite", choices=sorted(SUITES))
-    q.add_argument("--perturb", action="store_true",
-                   help="wire in the suite's deliberate mutation (must fail)")
-    q.add_argument("--timing", choices=("wall", "none"), default="wall",
-                   help="'none' zeroes elapsed_ms for reproducible output")
     for flag, (options, _) in VERIFY_FLAGS.items():
         q.add_argument(flag, **options)
-    q.set_defaults(run=_run_verify)
-
-
-# subcommand -> function adding its own flags, in the order of the help
-_SUBCOMMANDS = {
-    "pi-schur": _add_pi_schur, "dual-pi-schur": _add_pi_schur,
-    "branch": _add_branch, "product": _add_product, "skew": _add_skew,
-    "plethysm": _add_plethysm, "series": _add_series, "mode": _add_mode,
-    "verify": _add_verify,
-}
 
 
 def build_parser(command=None):
@@ -440,9 +404,13 @@ def build_parser(command=None):
                     "suites for the operator identities.")
     sub = p.add_subparsers(dest="command", required=True)
     for name in [command] if command in _SUBCOMMANDS else _SUBCOMMANDS:
+        run, flags = _SUBCOMMANDS[name]
         q = sub.add_parser(name)
-        _add_common(q)
-        _SUBCOMMANDS[name](q)
+        for flag in _COMMON_FLAGS + flags:
+            q.add_argument(flag, **_FLAGS[flag])
+        if name == "verify":
+            _add_verify(q)
+        q.set_defaults(run=run)
     return p
 
 

@@ -27,6 +27,7 @@ of schurring is used here; only the partitions module is shared.
 """
 
 import math
+from types import MappingProxyType
 
 from .partitions import (conjugate, format_partition, partition,
                           partitions_of, subpartitions, weight)
@@ -165,17 +166,19 @@ def _tableau_sum(shape, groups, pruned):
 
 
 def schur_poly(lam, nvars):
-    """The Schur polynomial of lam in nvars variables as a packed dict."""
+    """The Schur polynomial of lam in nvars variables as a read-only packed
+    dict.  No exponent exceeds lam_1: a variable fills at most one cell
+    of each column."""
     lam = partition(lam)
-    if nvars > _MAXVARS:
-        raise OverflowError("at most %d packed variables" % _MAXVARS)
-    if len(lam) > nvars:
-        return {}
     key = (lam, nvars)
     found = _schur_poly_memo.get(key)
     if found is None:
-        found = _schur_poly_memo[key] = _tableau_sum(
-            lam, [[1 << 4 * (nvars - 1 - k)] for k in range(nvars)], False)
+        _check_packed("Schur polynomial of %s" % format_partition(lam),
+                      nvars, max(lam, default=0))
+        if len(lam) > nvars:
+            return {}
+        found = _schur_poly_memo[key] = MappingProxyType(_tableau_sum(
+            lam, [[1 << 4 * (nvars - 1 - k)] for k in range(nvars)], False))
     return found
 
 
@@ -297,6 +300,8 @@ def oracle_plethysm(mu, nu):
     each factor h_m[s_1] = h_m has one row, so l(mu) variables suffice.
     No variable's exponent exceeds |mu|*nu_1."""
     mu, nu = partition(mu), partition(nu)
+    if not mu:
+        return SymFunc.one()  # s_()[s_nu] = 1, even for nu past a nibble
     n = len(mu) if nu == (1,) else weight(mu) * len(nu)
     _check_packed("plethysm outer=%s inner=%s"
                   % (format_partition(mu), format_partition(nu)),

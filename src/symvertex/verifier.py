@@ -67,12 +67,15 @@ def _execute(suite, config_obj, keys, case_fn, t0=None):
     return VerificationReport(suite, config_obj, len(keys), failures, elapsed)
 
 
-def _laurent_diff(a, b):
-    """Restrict two chain results {exps: SymFunc} to the exponents where
-    they disagree."""
-    keys = [e for e in set(a) | set(b) if a.get(e) != b.get(e)]
-    return ({e: a[e] for e in keys if e in a},
-            {e: b[e] for e in keys if e in b})
+def _chain_failure(inputs, varnames, lhs, rhs):
+    """None when two chain results {exps: SymFunc} agree, else the failure
+    record: the inputs and each side at the exponents where they differ."""
+    if lhs == rhs:
+        return None
+    keys = [e for e in set(lhs) | set(rhs) if lhs.get(e) != rhs.get(e)]
+    dl, dr = ({e: side[e] for e in keys if e in side} for side in (lhs, rhs))
+    return {"inputs": inputs, "lhs": laurent_to_obj(varnames, dl),
+            "rhs": laurent_to_obj(varnames, dr)}
 
 
 # the shapes of weight 1 to 4, a default of three suites
@@ -133,14 +136,10 @@ def verify_reordering(cases=REORDERING_CASES, pis=DEFAULT_PIS, window=(0, 4),
         f = SymFunc.schur(lam)
         lhs = apply_chain(lhs_chain, f, win)
         rhs = apply_chain(rhs_chain, f, win)
-        if lhs == rhs:
-            return None
-        dl, dr = _laurent_diff(lhs, rhs)
-        return {"inputs": {"case": case, "pi": format_partition(pi),
-                           "lambda": format_partition(lam),
-                           "window": list(window)},
-                "lhs": laurent_to_obj(lhs_chain.vars, dl),
-                "rhs": laurent_to_obj(lhs_chain.vars, dr)}
+        return _chain_failure({"case": case, "pi": format_partition(pi),
+                               "lambda": format_partition(lam),
+                               "window": list(window)},
+                              lhs_chain.vars, lhs, rhs)
 
     cfg = {"cases": list(cases), "pis": [format_partition(p) for p in pis],
            "window": list(window), "test_degree": test_degree,
@@ -306,13 +305,9 @@ def verify_multivertex(pis=((2,), (2, 1)), ms=(2, 3), duals=(False, True),
             # deliberately drop the first scalar prefactor
             np = NormalProduct(np.vars, np.prefactors[1:], np.chain)
         rhs = np.apply(f, win)
-        if lhs == rhs:
-            return None
-        dl, dr = _laurent_diff(lhs, rhs)
-        return {"inputs": {"pi": format_partition(pi), "m": m, "dual": dual,
-                           "state": label, "window": list(window)},
-                "lhs": laurent_to_obj(chain.vars, dl),
-                "rhs": laurent_to_obj(chain.vars, dr)}
+        return _chain_failure({"pi": format_partition(pi), "m": m,
+                               "dual": dual, "state": label,
+                               "window": list(window)}, chain.vars, lhs, rhs)
 
     cfg = {"pis": [format_partition(p) for p in pis], "ms": list(ms),
            "duals": list(duals), "inputs": list(inputs),

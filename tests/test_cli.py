@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from symvertex import vertexops
-from symvertex.cli import (ROUTES, VERIFY_FLAGS, _merge_dash_values,
-                           _t_int_list, _t_range, build_parser, main)
+from symvertex.cli import (_COMMON_FLAGS, _FLAGS, _SUBCOMMANDS, ROUTES,
+                           VERIFY_FLAGS, _merge_dash_values, _t_int_list,
+                           _t_range, build_parser, main)
 from symvertex.config import _PARSERS, ENV_CONFIG
 from symvertex.jsonform import dumps, parse_symfunc, state_to_obj, \
     symfunc_to_obj
@@ -399,6 +400,13 @@ class TestVerifyFlagTable:
         argv = ["verify", next(iter(keywords)), flag, text]
         args = build_parser().parse_args(_merge_dash_values(argv))
         assert getattr(args, flag[2:].replace("-", "_")) == want
+
+
+class TestFlagTable:
+    def test_every_flag_has_a_subcommand(self):
+        used = set(_COMMON_FLAGS).union(
+            *(flags for _, flags in _SUBCOMMANDS.values()))
+        assert set(_FLAGS) - used == set()
 
 
 class TestConfigKeysAreFlags:

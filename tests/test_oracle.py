@@ -66,6 +66,19 @@ class TestSchurPoly:
         # SSYT of shape (1,1) in 3 letters: 2-subsets -> 3
         assert sum(schur_poly((1, 1), 3).values()) == 3
 
+    def test_result_is_read_only(self):
+        # the result is the memo's own entry: a write must not reach it
+        with pytest.raises(TypeError):
+            schur_poly((1,), 2)[1] = 2
+        assert oracle_product((1,), (1,)) == S((2,)) + S((1, 1))
+
+    def test_rejects_an_exponent_over_a_nibble(self):
+        with pytest.raises(OverflowError, match="exponent 16"):
+            schur_poly((16,), 2)
+
+    def test_empty_outer_plethysm_never_expands_the_inner(self):
+        assert oracle_plethysm((), (16,)) == SymFunc.one()
+
 
 class TestDecompose:
     @given(st.sampled_from(partitions_up_to(6)))
