@@ -7,10 +7,11 @@ Products and skews stay in the Schur basis: single-row and single-column
 shapes take Pieri shortcuts, which keeps the long factor chains built by
 vertexops cheap, and every other pair counts Littlewood-Richardson
 tableaux.  Plethysm needs the power-sum basis: the way back to Schur
-functions adds Murnaghan-Nakayama border strips one power sum at a time,
-and memoized characters, built from the same strip step, serve only the
-way there (to_power).  The oracle module deliberately shares none of this
-machinery.
+functions (from_power) adds Murnaghan-Nakayama border strips one power sum
+at a time, each a single bead move on a beta-set held as a bitmask, and
+memoized characters, built by removing border strips from partition
+tuples, serve only the way there (to_power).  The oracle module
+deliberately shares none of this machinery.
 
 Every value is a _LinComb, the one linear-combination core: SymFunc and
 PowerExpr here, vertexops.ChargedState over charge sectors.  Public
@@ -28,35 +29,28 @@ from .partitions import conjugate, contains, partition, partitions_of
 # #### Murnaghan-Nakayama border strips and characters ####
 
 def border_strips(lam, k):
-    """[(nu, sign)] over the partitions nu obtained from lam by adding a
-    border strip of size k (by removing one of size -k when k < 0).
+    """[(nu, sign)] over the partitions nu obtained from lam by removing a
+    border strip of size k.
 
-    On the beta-numbers (first-column hook lengths) of lam, padded with k
-    zero rows when adding, a strip moves one bead from row j by k onto a
-    free position, where it lands in row i; the sign is (-1) to the number
-    |i - j| of beads jumped, the strip's height.  The strip fills rows
-    i..j (j..i when removing), so nu is read off lam without sorting.
+    On the beta-numbers (first-column hook lengths) of lam, a strip moves
+    one bead from row j down by k onto a free position, where it lands in
+    row i; the sign is (-1) to the number i - j of beads jumped, the
+    strip's height.  The strip fills rows j..i, so nu is read off lam
+    without sorting.
     """
-    n = len(lam) + max(k, 0)
-    pad = lam + (0,) * (n - len(lam))
-    beta = [x + n - 1 - t for t, x in enumerate(pad)]
+    n = len(lam)
+    beta = [x + n - 1 - t for t, x in enumerate(lam)]
     occupied = set(beta)
     out = []
     for j, b in enumerate(beta):
-        p = b + k
+        p = b - k
         if p < 0 or p in occupied:
             continue
         i = j
-        if k > 0:
-            while i and beta[i - 1] < p:
-                i -= 1
-            nu = (lam[:i] + (p - n + 1 + i,)
-                  + tuple(x + 1 for x in pad[i:j]) + lam[j + 1:])
-        else:
-            while i + 1 < n and beta[i + 1] > p:
-                i += 1
-            nu = (lam[:j] + tuple(x - 1 for x in lam[j + 1:i + 1])
-                  + (p - n + 1 + i,) + lam[i + 1:])
+        while i + 1 < n and beta[i + 1] > p:
+            i += 1
+        nu = (lam[:j] + tuple(x - 1 for x in lam[j + 1:i + 1])
+              + (p - n + 1 + i,) + lam[i + 1:])
         while nu and not nu[-1]:
             nu = nu[:-1]
         out.append((nu, -1 if (i - j) % 2 else 1))
@@ -81,7 +75,7 @@ def charvalue(lam, rho):
         return val
     rest = rho[1:]
     total = sum(sign * charvalue(nu, rest)
-                for nu, sign in border_strips(lam, -rho[0]))
+                for nu, sign in border_strips(lam, rho[0]))
     _char_memo[key] = total
     return total
 
@@ -461,14 +455,20 @@ class PowerExpr(_LinComb):
 
 
 def to_power(f):
-    """Schur basis -> power-sum basis."""
-    d = {}
+    """Schur basis -> power-sum basis.  The coefficient of p_rho is the sum
+    of a_lam chi^lam(rho) over the lam of rho's weight, taken in integers
+    (f scaled once by the LCM of its denominators) and divided once by
+    z_rho."""
+    den = lcm(*(a.denominator for a in f.c.values()))
+    by_weight = {}
     for lam, a in f.c.items():
-        for rho in partitions_of(sum(lam)):
-            ch = charvalue(lam, rho)
-            if ch:
-                v = a * Fraction(ch, centralizer_order(rho))
-                d[rho] = d.get(rho, 0) + v
+        by_weight.setdefault(sum(lam), []).append((lam, int(a * den)))
+    d = {}
+    for n, terms in by_weight.items():
+        for rho in partitions_of(n):
+            tot = sum(a * charvalue(lam, rho) for lam, a in terms)
+            if tot:
+                d[rho] = Fraction(tot, centralizer_order(rho) * den)
     return PowerExpr._new(d)
 
 
@@ -476,29 +476,48 @@ def from_power(expr):
     """Power-sum basis -> Schur basis, in Horner form over the largest part:
     p_rho = p_k p_(rho minus k), and multiplying by p_k adds the border
     strips of size k.  Runs in integers: the expression is scaled once by
-    the LCM of its denominators and divided once at the end."""
+    the LCM of its denominators and divided once at the end.  Partitions
+    are beta-sets of deg(expr) beads (_from_power_int), read back once."""
     den = lcm(*(a.denominator for a in expr.c.values()))
     d = _from_power_int({rho: int(a * den) for rho, a in expr.c.items()},
-                        {})
-    return SymFunc._new(d if den == 1 else
-                        {lam: Fraction(c, den) for lam, c in d.items()})
+                        (1 << expr.degree()) - 1)
+    return SymFunc._new({_bead_partition(m): c if den == 1 else
+                         Fraction(c, den) for m, c in d.items()})
 
 
-def _from_power_int(terms, strips):
-    """{lam: int} Schur expansion of sum a_rho p_rho, {rho: int a_rho};
-    strips caches border_strips across the recursion."""
+def _bead_partition(mask):
+    """The partition whose beta-set is the bitmask mask: each bead's part is
+    the number of free places below it."""
+    lam = []
+    free = 0
+    for b in bin(mask)[:1:-1]:
+        if b == "0":
+            free += 1
+        elif free:
+            lam.append(free)
+    return tuple(reversed(lam))
+
+
+def _from_power_int(terms, base):
+    """{mask: int} Schur expansion of s_lam times sum a_rho p_rho, {rho:
+    int a_rho}, with lam (base) and each result held as a beta-set in a
+    bitmask; base needs a bead for every row of a result.  Multiplying by
+    p_k moves one bead up k places onto a free place, with the sign (-1) to
+    the number of beads it jumps."""
     groups = {}
     out = {}
     for rho, a in terms.items():
         if rho:
             groups.setdefault(rho[0], {})[rho[1:]] = a
         else:
-            out[()] = a
+            out[base] = a
     for k, rest in groups.items():
-        for lam, c in _from_power_int(rest, strips).items():
-            added = strips.get((lam, k))
-            if added is None:
-                added = strips[lam, k] = border_strips(lam, k)
-            for nu, sign in added:
-                out[nu] = out.get(nu, 0) + sign * c
-    return {lam: c for lam, c in out.items() if c}
+        for mask, c in _from_power_int(rest, base).items():
+            free = mask & ~(mask >> k)
+            while free:
+                low = free & -free
+                free ^= low
+                nu = mask ^ low ^ (low << k)
+                jumped = (mask & ((low << k) - (low << 1))).bit_count()
+                out[nu] = out.get(nu, 0) + (-c if jumped & 1 else c)
+    return {m: c for m, c in out.items() if c}

@@ -65,8 +65,8 @@ def _first_part_scaled_wrong(orig):
 
 
 def _constant_term_skipped(orig):
-    def planted(terms, strips):
-        return orig({rho: a for rho, a in terms.items() if rho}, strips)
+    def planted(terms, base):
+        return orig({rho: a for rho, a in terms.items() if rho}, base)
     return planted
 
 
@@ -207,6 +207,16 @@ _series_term_last_dropped = _in_source(
     "list(series_term(family, shape, r).c.items()))")
 
 
+# every bead move of the way back from power sums counted with sign +1
+_bead_sign_positive = _in_source(
+    schurring, "(-c if jumped & 1 else c)", "c")
+
+# the coefficient of p_rho divided by the LCM of the denominators only,
+# not by z_rho as well
+_centralizer_dropped = _in_source(
+    schurring, "centralizer_order(rho) * den", "den")
+
+
 # every series coefficient taken as 1: a term acts as the sum of its
 # Schur functions
 _series_coefficients_one = _in_source(
@@ -289,6 +299,11 @@ FAULTS = [
     # the recursion looks itself up in schurring, so every level is planted
     ("from-power-constant-skipped", schurring, "_from_power_int",
      _constant_term_skipped, inverse_series_small),
+    ("from-power-bead-sign-positive", schurring, "_from_power_int",
+     _bead_sign_positive, inverse_series_small),
+    # the check side of the suite looks it up in verifier
+    ("to-power-divides-by-one", verifier, "to_power",
+     _centralizer_dropped, inverse_series_small),
     # the recursion looks itself up in schurring; only the series cases
     # of the suite see it
     ("charvalue-one-part-negated", schurring, "charvalue",

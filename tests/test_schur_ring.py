@@ -129,6 +129,24 @@ class TestPowerBasis:
     def test_roundtrip_rational_combinations(self, f):
         assert from_power(to_power(f)) == f
 
+    def test_matches_one_fraction_per_character(self):
+        # the reference sums a chi^lam(rho) / z_rho term by term; every
+        # lam of weight <= 9, one at a time and all in one expression
+        def reference(f):
+            d = {}
+            for lam, a in f.c.items():
+                for rho in partitions_of(weight(lam)):
+                    v = a * Fraction(charvalue(lam, rho),
+                                     centralizer_order(rho))
+                    d[rho] = d.get(rho, 0) + v
+            return PowerExpr._new(d)
+
+        lams = partitions_up_to(9)
+        mixed = SymFunc({lam: Fraction(i % 7 - 3, i % 5 + 1)
+                         for i, lam in enumerate(lams)})
+        for f in [S(lam).scale(Fraction(2, 3)) for lam in lams] + [mixed]:
+            assert typed(to_power(f)) == typed(reference(f)), f
+
 
 def merge_product(x, y):
     """Reference for PowerExpr.__mul__: one sorted merge of the indexing
@@ -184,8 +202,15 @@ def character_row(rho):
     return {lam: c for lam, c in row.items() if c}
 
 
+def beta_mask(lam, n):
+    """The beta-set of lam with n beads, as a bitmask."""
+    pad = lam + (0,) * (n - len(lam))
+    return sum(1 << (x + n - 1 - t) for t, x in enumerate(pad))
+
+
 class TestFromPower:
-    """The border-strip route from power sums to Schur functions."""
+    """The route from power sums to Schur functions: each p_k moves one
+    bead k places on a beta-set held as a bitmask."""
 
     def test_small_cases_by_hand(self):
         assert from_power(PowerExpr({(1, 1): 1})) == S((2,)) + S((1, 1))
@@ -215,11 +240,23 @@ class TestFromPower:
         assert from_power(PowerExpr()) == SymFunc.zero()
 
     def test_single_box_strips_are_pieri(self):
+        # the bead move at k = 1 adds one box; border_strips removes one
         for lam in partitions_up_to(8):
-            assert sorted(border_strips(lam, 1)) == \
+            n = weight(lam) + 1
+            got = schurring._from_power_int({(1,): 1}, beta_mask(lam, n))
+            assert sorted((schurring._bead_partition(m), c)
+                          for m, c in got.items()) == \
                 sorted((nu, 1) for nu in pieri_row(lam, 1)), lam
-            assert sorted(border_strips(lam, -1)) == \
+            assert sorted(border_strips(lam, 1)) == \
                 sorted((nu, 1) for nu in pieri_row(lam, -1)), lam
+
+    def test_cycle_power_sums_are_signed_hooks(self):
+        # p_n = sum over b of (-1)^b s_(n-b, 1^b); past n = 32 the beta-set
+        # of n beads is wider than 64 bits
+        for n in range(1, 41):
+            want = SymFunc({(n - b,) + (1,) * b: (-1) ** b
+                            for b in range(n)})
+            assert from_power(PowerExpr({(n,): 1})) == want, n
 
     @given(symfunc_strategy(max_weight=8, max_terms=4))
     def test_roundtrip_inhomogeneous_to_weight_eight(self, f):
